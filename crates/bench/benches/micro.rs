@@ -257,17 +257,7 @@ fn bench_rpc(c: &mut Criterion) {
 
     // Protocol codec round trip: a 64-record batch.
     let batch: Vec<ptm_core::record::TrafficRecord> = (0..64)
-        .map(|p| {
-            let mut r = ptm_core::record::TrafficRecord::new(
-                record.location(),
-                PeriodId::new(p),
-                BitmapSize::new(4096).expect("pow2"),
-            );
-            for idx in record.bitmap().iter_ones() {
-                r.set_reported_index(idx);
-            }
-            r
-        })
+        .map(|p| record.clone().restamped(PeriodId::new(p)))
         .collect();
     let batch_request = ptm_rpc::Request::UploadBatch(batch);
     group.bench_function("proto_encode_batch_64", |b| {

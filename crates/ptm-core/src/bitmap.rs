@@ -223,8 +223,15 @@ impl Bitmap {
             });
         }
         let mut bitmap = Bitmap::new(len);
-        for (i, &byte) in bytes.iter().enumerate() {
-            bitmap.words[i / 8] |= (byte as u64) << ((i % 8) * 8);
+        let mut chunks = bytes.chunks_exact(8);
+        for (word, chunk) in bitmap.words.iter_mut().zip(&mut chunks) {
+            *word = u64::from_le_bytes(chunk.try_into().expect("chunks_exact yields 8 bytes"));
+        }
+        let tail = chunks.remainder();
+        if !tail.is_empty() {
+            let mut raw = [0u8; 8];
+            raw[..tail.len()].copy_from_slice(tail);
+            *bitmap.words.last_mut().expect("non-empty") = u64::from_le_bytes(raw);
         }
         // Reject garbage beyond the logical length.
         let tail_bits = len % WORD_BITS;
@@ -240,7 +247,9 @@ impl Bitmap {
         Ok(bitmap)
     }
 
-    /// Iterator over the indices of the one bits.
+    /// Iterator over the indices of the one bits. Test-only: production
+    /// code reads bitmaps through counts, joins and [`Bitmap::to_bytes`].
+    #[cfg(test)]
     pub fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
         self.words.iter().enumerate().flat_map(move |(wi, &word)| {
             let base = wi * WORD_BITS;
@@ -256,11 +265,13 @@ fn mask_low_bits(bits: usize) -> u64 {
     (1u64 << bits) - 1
 }
 
+#[cfg(test)]
 struct BitIter {
     word: u64,
     base: usize,
 }
 
+#[cfg(test)]
 impl Iterator for BitIter {
     type Item = usize;
 

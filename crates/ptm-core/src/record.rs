@@ -2,6 +2,7 @@
 
 use crate::bitmap::Bitmap;
 use crate::encoding::{EncodingScheme, LocationId, VehicleSecrets};
+use crate::error::EstimateError;
 use crate::params::BitmapSize;
 use serde::{Deserialize, Serialize};
 
@@ -58,6 +59,30 @@ impl TrafficRecord {
             period,
             bitmap: Bitmap::new(size.get()),
         }
+    }
+
+    /// Wraps an already-filled bitmap, e.g. one decoded from storage or the
+    /// wire. The bits are taken as they are: nothing is counted as a
+    /// vehicle encode.
+    ///
+    /// # Errors
+    ///
+    /// [`EstimateError::NotPowerOfTwo`] if the bitmap length is not a power
+    /// of two — the record invariant [`TrafficRecord::new`] gets from
+    /// [`BitmapSize`].
+    pub fn from_bitmap(
+        location: LocationId,
+        period: PeriodId,
+        bitmap: Bitmap,
+    ) -> Result<Self, EstimateError> {
+        if !bitmap.is_power_of_two() {
+            return Err(EstimateError::NotPowerOfTwo { len: bitmap.len() });
+        }
+        Ok(Self {
+            location,
+            period,
+            bitmap,
+        })
     }
 
     /// The RSU location this record was produced at.
@@ -200,6 +225,27 @@ mod tests {
         let index = scheme.encode_index(&vehicle, LocationId::new(1), 256);
         via_report.set_reported_index(index);
         assert_eq!(record, via_report);
+    }
+
+    #[test]
+    fn from_bitmap_matches_set_reported_index() {
+        let (_, _, mut record) = setup();
+        let mut bitmap = Bitmap::new(256);
+        for index in [0, 3, 64, 255] {
+            record.set_reported_index(index);
+            bitmap.set(index);
+        }
+        let wrapped = TrafficRecord::from_bitmap(LocationId::new(1), PeriodId::new(0), bitmap)
+            .expect("power of two");
+        assert_eq!(wrapped, record);
+    }
+
+    #[test]
+    fn from_bitmap_rejects_non_power_of_two() {
+        assert_eq!(
+            TrafficRecord::from_bitmap(LocationId::new(1), PeriodId::new(0), Bitmap::new(24)),
+            Err(EstimateError::NotPowerOfTwo { len: 24 })
+        );
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //!
 //! * [`codec`] — a compact, versioned binary encoding of
 //!   [`ptm_core::record::TrafficRecord`];
-//! * [`crc32`] — a from-scratch CRC-32 (IEEE) for frame integrity;
+//! * [`crc32`] — a from-scratch slicing-by-8 CRC-32 (IEEE) for frame
+//!   integrity;
 //! * [`archive`] — an append-only log file with per-frame checksums,
 //!   streaming reads, and crash-tolerant recovery (a torn final frame is
 //!   detected and ignored; mid-file corruption is reported, not silently

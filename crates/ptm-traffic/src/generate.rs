@@ -329,7 +329,10 @@ mod tests {
             let mut expected: Vec<usize> = idx.clone();
             expected.sort_unstable();
             expected.dedup();
-            assert_eq!(record.bitmap().iter_ones().collect::<Vec<_>>(), expected);
+            let ones: Vec<usize> = (0..record.len())
+                .filter(|&i| record.bitmap().get(i))
+                .collect();
+            assert_eq!(ones, expected);
         }
     }
 

@@ -68,6 +68,13 @@ timeout 300 cargo test --quiet -p ptm-integration-tests --test reactor_storm
 echo "==> overload storms (bounded, fixed seeds)"
 timeout 300 cargo test --quiet -p ptm-integration-tests --test overload_storm
 
+# The loopback-daemon benchmark's own tests: its correctness-gate unit test
+# and a 2 s smoke of every workload, each checking every answer bit-exactly
+# and every record acked against a real daemon, so the upload, hydration and
+# frame paths the benchmark times are exercised on every pass.
+echo "==> perfbench tests (bounded)"
+timeout 600 cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 # Traced loopback smoke: a real daemon with tracing on, one upload and one
 # query against it, then the span JSONL checked against the schema
 # documented in docs/OBSERVABILITY.md. The sample is archived as a CI

@@ -232,3 +232,38 @@ fn disabled_metrics_record_nothing_anywhere() {
         "disabled instrumentation must leave every metric untouched"
     );
 }
+
+#[test]
+fn decoding_a_record_counts_no_vehicle_encodes() {
+    // The encode counters describe vehicles passing an RSU; a record read
+    // back from the wire or the store is not a fresh pass, so decoding it
+    // must leave them alone even with metrics on (`ptm serve --metrics`).
+    let _guard = obs_lock();
+    ptm_obs::set_metrics_enabled(false);
+    let scheme = EncodingScheme::new(0xDEC0, 3);
+    let mut rng = ChaCha8Rng::seed_from_u64(12);
+    let vehicles = fleet(&mut rng, 300, 3);
+    let record = direct_record(
+        &scheme,
+        LocationId::new(4),
+        PeriodId::new(2),
+        BitmapSize::new(1 << 9).expect("pow2"),
+        &vehicles,
+    );
+    assert!(record.bitmap().count_ones() > 0, "a non-empty record");
+    let payload = ptm_store::codec::encode_record(&record);
+
+    ptm_obs::set_metrics_enabled(true);
+    let names = [
+        "core.encode.vehicles",
+        "core.encode.bits_set",
+        "core.encode.collisions",
+    ];
+    let before: Vec<u64> = names.iter().map(|name| counter_value(name)).collect();
+    let decoded = ptm_store::codec::decode_record(&payload).expect("valid payload");
+    let after: Vec<u64> = names.iter().map(|name| counter_value(name)).collect();
+    ptm_obs::set_metrics_enabled(false);
+
+    assert_eq!(decoded, record);
+    assert_eq!(after, before, "decode bumped {names:?}");
+}
