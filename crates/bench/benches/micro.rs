@@ -141,8 +141,9 @@ fn bench_storage(c: &mut Criterion) {
         b.iter(|| ptm_store::codec::decode_record(&bytes).expect("valid"))
     });
 
-    // The archive append path with its permanent (disabled) fault hooks:
-    // four small records buffered and committed with one flush.
+    // The segment-store append path with its permanent (disabled) fault
+    // hooks: four small records buffered by `append_all` and committed by
+    // its single `flush`, on a fresh store each iteration.
     let small_records: Vec<ptm_core::record::TrafficRecord> = (0..4)
         .map(|p| {
             let mut r = ptm_core::record::TrafficRecord::new(
@@ -157,21 +158,23 @@ fn bench_storage(c: &mut Criterion) {
             r
         })
         .collect();
-    let bench_path = std::env::temp_dir().join(format!("ptm-bench-{}.ptma", std::process::id()));
+    let bench_dir = std::env::temp_dir().join(format!("ptm-bench-{}.ptma", std::process::id()));
     group.bench_function("archive_append_commit_4_records", |b| {
         b.iter_batched(
             || {
-                let _ = std::fs::remove_file(&bench_path);
-                ptm_store::Archive::create(&bench_path).expect("create")
+                let _ = std::fs::remove_dir_all(&bench_dir);
+                ptm_store::SegmentStore::open(&bench_dir, ptm_store::StoreOptions::default())
+                    .expect("open")
+                    .store
             },
-            |mut archive| {
-                archive.append_all(small_records.iter()).expect("append");
-                archive
+            |mut store| {
+                store.append_all(small_records.iter()).expect("append");
+                store
             },
             BatchSize::PerIteration,
         )
     });
-    let _ = std::fs::remove_file(&bench_path);
+    let _ = std::fs::remove_dir_all(&bench_dir);
     group.finish();
 
     let mut group = c.benchmark_group("wire");

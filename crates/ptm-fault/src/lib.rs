@@ -46,14 +46,14 @@ pub use stream::FaultyStream;
 /// [`FaultPlanBuilder::build`] rejects rules naming sites outside this list,
 /// so a typo in a chaos spec fails loudly instead of silently never firing.
 pub mod sites {
-    /// Archive record/frame writes ([`std::io::Write::write`] on the
-    /// storage backend).
+    /// Segment-store record/frame writes ([`std::io::Write::write`] on
+    /// the storage backend).
     pub const STORE_WRITE: &str = "store.write";
-    /// Archive buffer flushes ([`std::io::Write::flush`]).
+    /// Segment-store buffer flushes ([`std::io::Write::flush`]).
     pub const STORE_FLUSH: &str = "store.flush";
-    /// Archive fsyncs (`File::sync_all`).
+    /// Segment-store fsyncs (`File::sync_all`).
     pub const STORE_SYNC: &str = "store.sync";
-    /// Archive truncations during rollback (`File::set_len`).
+    /// Segment-store truncations during rollback (`File::set_len`).
     pub const STORE_SET_LEN: &str = "store.set_len";
     /// Segment-store manifest commits (the atomic temp-write + rename that
     /// publishes a new segment set).

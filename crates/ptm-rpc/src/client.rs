@@ -20,7 +20,7 @@
 //!   its `retry_after_ms` hint, not hammered on the normal backoff;
 //! * an optional **deadline budget** ([`ClientConfig::deadline`]) caps the
 //!   total wall-clock a call may spend across all its attempts — and each
-//!   attempt stamps its *remaining* budget into the v3 request header, so
+//!   attempt stamps its *remaining* budget into the request header, so
 //!   the server can drop the request instead of executing it once this
 //!   client has already given up ([`Response::DeadlineExceeded`]);
 //! * a **retry budget** ([`ClientConfig::retry_budget`]) — a token bucket
@@ -41,7 +41,7 @@ use crate::frame::{
 };
 use crate::proto::{
     decode_response, encode_request_with, ErrorCode, ProtoError, Request, Response, WireTrace,
-    MAX_BATCH_RECORDS,
+    MAX_BATCH_RECORDS, MAX_QUERY_PERIODS,
 };
 use ptm_core::record::TrafficRecord;
 use ptm_core::{LocationId, PeriodId};
@@ -240,7 +240,19 @@ fn classify_response(response: &Response) -> Disposition {
     }
 }
 
-/// The remaining deadline budget to stamp into this attempt's v3 header
+/// Rejects a query the server would refuse as malformed — and whose
+/// `u16` period count would wrap past 65 535 — before any byte is sent.
+fn check_period_count(periods: &[PeriodId]) -> Result<(), ClientError> {
+    if periods.len() > MAX_QUERY_PERIODS {
+        return Err(ClientError::InvalidRequest(format!(
+            "query over {} periods exceeds the {MAX_QUERY_PERIODS}-period limit",
+            periods.len()
+        )));
+    }
+    Ok(())
+}
+
+/// The remaining deadline budget to stamp into this attempt's header
 /// (`None` when the call has no deadline — nothing is stamped and the
 /// server never dooms the request). Clamped up to 1 ms so an attempt the
 /// client is still willing to make is never stamped "already expired".
@@ -653,12 +665,14 @@ impl RpcClient {
     ///
     /// # Errors
     ///
-    /// Any [`ClientError`].
+    /// [`ClientError::InvalidRequest`] for more than
+    /// [`MAX_QUERY_PERIODS`] periods; otherwise any [`ClientError`].
     pub fn query_point(
         &mut self,
         location: LocationId,
         periods: &[PeriodId],
     ) -> Result<f64, ClientError> {
+        check_period_count(periods)?;
         self.expect_estimate(&Request::QueryPoint {
             location,
             periods: periods.to_vec(),
@@ -670,13 +684,15 @@ impl RpcClient {
     ///
     /// # Errors
     ///
-    /// Any [`ClientError`].
+    /// [`ClientError::InvalidRequest`] for more than
+    /// [`MAX_QUERY_PERIODS`] periods; otherwise any [`ClientError`].
     pub fn query_p2p(
         &mut self,
         location_a: LocationId,
         location_b: LocationId,
         periods: &[PeriodId],
     ) -> Result<f64, ClientError> {
+        check_period_count(periods)?;
         self.expect_estimate(&Request::QueryP2p {
             location_a,
             location_b,
@@ -722,7 +738,7 @@ impl RpcClient {
             self.open_until = None;
         }
         // One span covers the whole call — every attempt, backoff sleep,
-        // and the final decode share it — and its context rides the v3
+        // and the final decode share it — and its context rides the
         // request header so the daemon's spans join this trace.
         let call_span = ptm_obs::tspan!("rpc.client.request");
         let wire = call_span.context().map(|ctx| WireTrace {
@@ -1033,6 +1049,22 @@ mod tests {
         match client.upload_batch(&batch) {
             Err(ClientError::InvalidRequest(_)) => {}
             other => panic!("expected InvalidRequest, got {other:?}"),
+        }
+        // Queries over too many periods: one past the server's limit, and
+        // a count that would wrap the u16 wire field. Nothing is sent, so
+        // the dead port is never retried.
+        for count in [MAX_QUERY_PERIODS + 1, 70_000] {
+            let periods: Vec<PeriodId> = (0..count as u32).map(PeriodId::new).collect();
+            match client.query_point(LocationId::new(1), &periods) {
+                Err(ClientError::InvalidRequest(_)) => {}
+                other => {
+                    panic!("point over {count} periods: expected InvalidRequest, got {other:?}")
+                }
+            }
+            match client.query_p2p(LocationId::new(1), LocationId::new(2), &periods) {
+                Err(ClientError::InvalidRequest(_)) => {}
+                other => panic!("p2p over {count} periods: expected InvalidRequest, got {other:?}"),
+            }
         }
     }
 

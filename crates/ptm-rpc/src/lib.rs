@@ -3,8 +3,8 @@
 //! The paper's architecture ends with roadside units shipping their
 //! per-period traffic records to a central server that answers persistence
 //! queries. This crate is that wire: a std-only (no async runtime) TCP
-//! daemon and client speaking a versioned, length-prefixed, CRC-checked
-//! frame protocol.
+//! daemon and client speaking a single-version, length-prefixed,
+//! CRC-checked frame protocol.
 //!
 //! * [`frame`] — the transport: `len | crc32 | payload` frames, with an
 //!   idle/closed/hard-error taxonomy that lets servers poll shutdown flags
@@ -22,8 +22,8 @@
 //!   buffers, and a bounded worker pool runs estimate/commit work so slow
 //!   storage never stalls the wire — wrapping
 //!   [`ptm_net::CentralServer`]'s location-sharded store, write-ahead
-//!   persistence into a [`ptm_store::Archive`] (append + flush before the
-//!   records become queryable, replayed on restart), idempotent duplicate
+//!   persistence into a [`ptm_store::SegmentStore`] (append + flush before
+//!   the records become queryable, reloaded on restart), idempotent duplicate
 //!   handling, panic containment with poison-recovering locks, graceful
 //!   drain on shutdown. Consecutive pipelined uploads from one connection
 //!   coalesce into a single commit and their acks batch into one write.

@@ -66,10 +66,10 @@
 //! backlog instead of being answered inline on the accept path (which
 //! used to stall every other accept behind one slow peer). A shed
 //! connection costs no worker and sends nothing unsolicited; when its
-//! first frame arrives, the reactor peeks the protocol version and
-//! answers `Overloaded` encoded no newer than the peer speaks — or, for a
-//! v1 peer (whose decoder predates the `Overloaded` tag), closes cleanly
-//! without a byte, which its retry loop handles as a transport error.
+//! first frame arrives, the reactor reads only its version byte and
+//! answers `Overloaded` — or, for any byte other than
+//! [`PROTOCOL_VERSION`], closes cleanly without a byte, never sending a
+//! frame a foreign decoder might misread.
 //! Beyond the backlog bound, excess sockets are dropped immediately.
 //!
 //! Query answers are cached in an epoch-invalidated [`QueryCache`]: each
@@ -88,8 +88,8 @@
 use crate::cache::{QueryCache, QueryKey};
 use crate::frame::{append_frame_with, FrameDecoder, FrameError, DEFAULT_MAX_FRAME_LEN};
 use crate::proto::{
-    decode_request, encode_response_into, peek_version, ErrorCode, ProtoError, Request, Response,
-    WireTrace, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
+    decode_request, encode_response_into, ErrorCode, ProtoError, Request, Response, WireTrace,
+    PROTOCOL_VERSION,
 };
 use crate::reactor::{JobClass, WorkerPool, CLASS_COUNT};
 use ptm_core::record::TrafficRecord;
@@ -602,10 +602,9 @@ impl RpcServer {
 
     /// Begins a graceful drain: the daemon stops admitting new work and
     /// answers every *new* request with [`Response::GoingAway`] carrying
-    /// the measured `retry_after_ms` hint (downgraded to `Overloaded` for
-    /// v2 peers; v1 peers get a clean close — never an undecodable frame),
-    /// while jobs already dispatched run to completion and their replies
-    /// flush. Once [`RpcServer::drain_complete`] reports quiescence, call
+    /// the measured `retry_after_ms` hint (a frame whose first byte is not
+    /// [`PROTOCOL_VERSION`] gets a clean close instead), while jobs
+    /// already dispatched run to completion and their replies flush. Once [`RpcServer::drain_complete`] reports quiescence, call
     /// [`RpcServer::shutdown`] to checkpoint the store and exit.
     ///
     /// Idempotent; draining is one-way (there is no undrain).
@@ -698,17 +697,15 @@ const OUT_RECLAIM_ABOVE: usize = 256 * 1024;
 /// it up.
 struct DecodedFrame {
     request: Request,
-    version: u8,
     trace: Option<WireTrace>,
     /// When the frame left the socket; the gap to dispatch is the
     /// request's queue wait.
     arrived: Instant,
     /// The wire deadline: `arrived` plus the remaining-budget
-    /// `deadline_ms` a v3 client stamped behind `FLAG_DEADLINE`. A job
+    /// `deadline_ms` a client stamped behind `FLAG_DEADLINE`. A job
     /// still queued past this instant is *doomed* — its caller has already
     /// given up — and is answered [`Response::DeadlineExceeded`] instead
-    /// of executed. `None` (v1/v2 peers, or an unstamped v3 request) never
-    /// dooms.
+    /// of executed. `None` (an unstamped request) never dooms.
     deadline: Option<Instant>,
 }
 
@@ -731,7 +728,6 @@ enum JobKind {
 /// connection's output buffer.
 struct Reply {
     response: Response,
-    version: u8,
     trace: Option<ptm_obs::TraceContext>,
 }
 
@@ -771,7 +767,7 @@ struct Conn {
     job_inflight: bool,
     /// True for connections admitted over the cap: no worker touches
     /// them, nothing unsolicited is sent, and their first frame is
-    /// answered with a version-appropriate shed (or a clean close).
+    /// answered by [`answer_hello`].
     shed: bool,
     /// When the last complete frame finished (idle cutoff baseline).
     last_frame: Instant,
@@ -827,20 +823,19 @@ fn queue_reply(conn: &mut Conn, reply: &Reply) {
     };
     let before = conn.out.len();
     append_frame_with(&mut conn.out, |buf| {
-        encode_response_into(reply.version, &reply.response, buf);
+        encode_response_into(&reply.response, buf);
     });
     ptm_obs::counter!("rpc.server.frames.out").inc();
     ptm_obs::counter!("rpc.server.bytes.out").add((conn.out.len() - before) as u64);
 }
 
-/// Queues an untraced reply in the server's own protocol version — the
-/// reactor's inline path for decode errors and malformed frames.
+/// Queues an untraced error-range reply — the reactor's inline path for
+/// shed and drain answers, decode errors and malformed frames.
 fn queue_error_reply(conn: &mut Conn, response: Response) {
     queue_reply(
         conn,
         &Reply {
             response,
-            version: PROTOCOL_VERSION,
             trace: None,
         },
     );
@@ -890,33 +885,21 @@ fn flush_conn(conn: &mut Conn, stall_budget: Duration) -> Result<(), CloseKind> 
     Ok(())
 }
 
-/// A shed connection's first complete frame decides its goodbye: peers on
-/// a version that knows the `Overloaded` tag (v2+) get it encoded no
-/// newer than they speak — `GoingAway` instead when the daemon is
-/// draining (the encoder downgrades it to `Overloaded` for v2) — while v1
-/// peers (or garbage) get a clean close — never a frame their decoder
-/// cannot read.
-fn answer_shed_hello(conn: &mut Conn, shared: &Shared, payload: &[u8]) {
-    let retry_after_ms = retry_hint_ms(shared);
-    match peek_version(payload) {
-        Some(version) if version > MIN_PROTOCOL_VERSION => {
-            let floor = version.min(PROTOCOL_VERSION);
-            let response = if shared.draining.load(Ordering::SeqCst) {
-                ptm_obs::counter!("rpc.server.going_away").inc();
-                Response::GoingAway { retry_after_ms }
-            } else {
-                Response::Overloaded { retry_after_ms }
-            };
-            queue_reply(
-                conn,
-                &Reply {
-                    response,
-                    version: floor,
-                    trace: None,
-                },
-            );
-        }
-        _ => {}
+/// Answers the first frame of a shed connection, or any frame while the
+/// daemon drains, from its version byte alone: a [`PROTOCOL_VERSION`] peer
+/// gets `GoingAway` (draining) or `Overloaded` (over the cap); any other
+/// first byte — a foreign version or garbage — gets a clean close, never
+/// a frame its decoder might misread.
+fn answer_hello(conn: &mut Conn, shared: &Shared, first_byte: Option<u8>) {
+    if first_byte == Some(PROTOCOL_VERSION) {
+        let retry_after_ms = retry_hint_ms(shared);
+        let response = if shared.draining.load(Ordering::SeqCst) {
+            ptm_obs::counter!("rpc.server.going_away").inc();
+            Response::GoingAway { retry_after_ms }
+        } else {
+            Response::Overloaded { retry_after_ms }
+        };
+        queue_error_reply(conn, response);
     }
     conn.close_after_flush = true;
 }
@@ -959,42 +942,18 @@ fn read_conn(conn: &mut Conn, shared: &Shared, activity: &mut bool) -> Result<()
                         conn.frame_start = None;
                         ptm_obs::counter!("rpc.server.frames.in").inc();
                         ptm_obs::counter!("rpc.server.bytes.in").add(payload.len() as u64 + 8);
-                        if conn.shed {
-                            let payload = payload.to_vec();
-                            answer_shed_hello(conn, shared, &payload);
+                        if conn.shed || shared.draining.load(Ordering::SeqCst) {
+                            let first_byte = payload.first().copied();
+                            answer_hello(conn, shared, first_byte);
                             return Ok(());
                         }
                         match decode_request(payload) {
                             Ok(decoded) => {
-                                if shared.draining.load(Ordering::SeqCst) {
-                                    // Draining: hand the peer off. v2+
-                                    // gets GoingAway (the encoder
-                                    // downgrades v2 to Overloaded); v1
-                                    // predates every shed tag and gets a
-                                    // clean close instead of an
-                                    // undecodable frame.
-                                    ptm_obs::counter!("rpc.server.going_away").inc();
-                                    if decoded.version > MIN_PROTOCOL_VERSION {
-                                        queue_reply(
-                                            conn,
-                                            &Reply {
-                                                response: Response::GoingAway {
-                                                    retry_after_ms: retry_hint_ms(shared),
-                                                },
-                                                version: decoded.version.min(PROTOCOL_VERSION),
-                                                trace: None,
-                                            },
-                                        );
-                                    }
-                                    conn.close_after_flush = true;
-                                    return Ok(());
-                                }
                                 let deadline = decoded
                                     .deadline_ms
                                     .map(|ms| now + Duration::from_millis(u64::from(ms)));
                                 conn.pending.push_back(DecodedFrame {
                                     request: decoded.request,
-                                    version: decoded.version,
                                     trace: decoded.trace,
                                     arrived: now,
                                     deadline,
@@ -1114,28 +1073,21 @@ fn class_of(request: &Request) -> JobClass {
 }
 
 /// Answers every frame of a rejected job with `Overloaded` carrying the
-/// measured-delay hint (admission control: the class queue was full), in
-/// each requester's own version, and counts the shed per class.
+/// measured-delay hint (admission control: the class queue was full) and
+/// counts the shed per class.
 fn shed_rejected_job(conn: &mut Conn, shared: &Shared, job: Job, class: JobClass) {
     let frames = match job.kind {
-        JobKind::Single(frame) => vec![frame],
-        JobKind::Ingest(frames) => frames,
+        JobKind::Single(_) => 1,
+        JobKind::Ingest(frames) => frames.len(),
     };
     let retry_after_ms = retry_hint_ms(shared);
     if ptm_obs::metrics_enabled() {
         ptm_obs::registry()
             .counter(format!("rpc.shed.by_class.{}", class.name()))
-            .add(frames.len() as u64);
+            .add(frames as u64);
     }
-    for frame in frames {
-        queue_reply(
-            conn,
-            &Reply {
-                response: Response::Overloaded { retry_after_ms },
-                version: frame.version,
-                trace: None,
-            },
-        );
+    for _ in 0..frames {
+        queue_error_reply(conn, Response::Overloaded { retry_after_ms });
     }
 }
 
@@ -1502,7 +1454,6 @@ fn run_job(shared: &Shared, job: Job, sojourn: Duration) -> Completion {
                         code: ErrorCode::Internal,
                         message: "internal error: request handler panicked".into(),
                     },
-                    version: PROTOCOL_VERSION,
                     trace: None,
                 }],
                 close: true,
@@ -1514,11 +1465,10 @@ fn run_job(shared: &Shared, job: Job, sojourn: Duration) -> Completion {
 /// Answers a doomed frame: its wire deadline expired while it waited in
 /// the worker queue, so the caller has already given up — executing it
 /// would burn a worker on an answer nobody reads.
-fn doomed_reply(frame: &DecodedFrame) -> Reply {
+fn doomed_reply() -> Reply {
     ptm_obs::counter!("rpc.server.deadline_dropped").inc();
     Reply {
         response: Response::DeadlineExceeded,
-        version: frame.version,
         trace: None,
     }
 }
@@ -1533,7 +1483,7 @@ fn execute_job(shared: &Shared, kind: JobKind) -> Vec<Reply> {
     match kind {
         JobKind::Single(frame) => {
             if doomed(&frame) {
-                vec![doomed_reply(&frame)]
+                vec![doomed_reply()]
             } else {
                 vec![run_single(shared, frame)]
             }
@@ -1546,7 +1496,7 @@ fn execute_job(shared: &Shared, kind: JobKind) -> Vec<Reply> {
             let mut live = Vec::new();
             for frame in frames {
                 if doomed(&frame) {
-                    slots.push(Some(doomed_reply(&frame)));
+                    slots.push(Some(doomed_reply()));
                 } else {
                     slots.push(None);
                     live.push(frame);
@@ -1566,7 +1516,6 @@ fn execute_job(shared: &Shared, kind: JobKind) -> Vec<Reply> {
                             code: ErrorCode::Internal,
                             message: "ingest produced no reply".into(),
                         },
-                        version: PROTOCOL_VERSION,
                         trace: None,
                     })
                 })
@@ -1576,7 +1525,7 @@ fn execute_job(shared: &Shared, kind: JobKind) -> Vec<Reply> {
 }
 
 /// Opens the request's dispatch span — joining the trace context carried
-/// in a v3 header, or rooting a locally minted trace for v1/v2 peers — and
+/// in the header, or rooting a locally minted trace for untraced peers — and
 /// records the queue wait since the frame left the socket.
 fn open_dispatch(trace: Option<WireTrace>, arrived: Instant) -> ptm_obs::trace::SpanGuard {
     let root = match trace {
@@ -1603,7 +1552,6 @@ fn open_dispatch(trace: Option<WireTrace>, arrived: Instant) -> ptm_obs::trace::
 fn run_control(shared: &Shared, frame: DecodedFrame) -> Reply {
     let root = open_dispatch(frame.trace, frame.arrived);
     let trace = root.context();
-    let version = frame.version;
     let response = match frame.request {
         Request::Ping => Response::Pong {
             version: PROTOCOL_VERSION,
@@ -1621,11 +1569,7 @@ fn run_control(shared: &Shared, frame: DecodedFrame) -> Reply {
             message: "non-control frame routed to the control path".into(),
         },
     };
-    Reply {
-        response,
-        version,
-        trace,
-    }
+    Reply { response, trace }
 }
 
 /// Handles one non-upload frame (ping, query, stats) on a pool worker.
@@ -1634,7 +1578,6 @@ fn run_control(shared: &Shared, frame: DecodedFrame) -> Reply {
 fn run_single(shared: &Shared, frame: DecodedFrame) -> Reply {
     let root = open_dispatch(frame.trace, frame.arrived);
     let trace = root.context();
-    let version = frame.version;
     let response = match frame.request {
         Request::Ping => Response::Pong {
             version: PROTOCOL_VERSION,
@@ -1650,7 +1593,6 @@ fn run_single(shared: &Shared, frame: DecodedFrame) -> Reply {
                 shared,
                 vec![DecodedFrame {
                     request,
-                    version,
                     trace: frame.trace,
                     arrived: frame.arrived,
                     deadline: frame.deadline,
@@ -1661,7 +1603,6 @@ fn run_single(shared: &Shared, frame: DecodedFrame) -> Reply {
                     code: ErrorCode::Internal,
                     message: "ingest produced no reply".into(),
                 },
-                version,
                 trace: None,
             });
         }
@@ -1698,11 +1639,7 @@ fn run_single(shared: &Shared, frame: DecodedFrame) -> Reply {
         }
         Request::Stats => Response::Stats(stats_json(shared)),
     };
-    Reply {
-        response,
-        version,
-        trace,
-    }
+    Reply { response, trace }
 }
 
 /// Renders the live introspection document answered to [`Request::Stats`]
@@ -2001,23 +1938,22 @@ fn ingest_frames(shared: &Shared, frames: Vec<DecodedFrame>) -> Vec<Reply> {
     // (which parent off the thread-local current span) land inside it;
     // later frames get their queue wait recorded and their trace context
     // captured for the encode-reply stage.
-    let mut metas: Vec<(u8, Option<ptm_obs::TraceContext>)> = Vec::with_capacity(frames.len());
+    let mut traces: Vec<Option<ptm_obs::TraceContext>> = Vec::with_capacity(frames.len());
     let mut requests: Vec<Request> = Vec::with_capacity(frames.len());
     let mut root0: Option<ptm_obs::trace::SpanGuard> = None;
     for (i, frame) in frames.into_iter().enumerate() {
         let root = open_dispatch(frame.trace, frame.arrived);
-        metas.push((frame.version, root.context()));
+        traces.push(root.context());
         requests.push(frame.request);
         if i == 0 {
             root0 = Some(root);
         }
     }
     let _root0 = root0;
-    let shed_reply = |(version, trace): &(u8, Option<ptm_obs::TraceContext>)| Reply {
+    let shed_reply = |trace: &Option<ptm_obs::TraceContext>| Reply {
         response: Response::Overloaded {
             retry_after_ms: shared.config.retry_after_ms,
         },
-        version: *version,
         trace: *trace,
     };
 
@@ -2033,14 +1969,13 @@ fn ingest_frames(shared: &Shared, frames: Vec<DecodedFrame>) -> Vec<Reply> {
             FaultAction::Panic => panic!("injected ingest fault"),
             FaultAction::Delay(pause) => std::thread::sleep(pause),
             _ => {
-                return metas
+                return traces
                     .iter()
-                    .map(|(version, trace)| Reply {
+                    .map(|trace| Reply {
                         response: Response::Error {
                             code: ErrorCode::Internal,
                             message: "injected ingest fault".into(),
                         },
-                        version: *version,
                         trace: *trace,
                     })
                     .collect();
@@ -2051,11 +1986,11 @@ fn ingest_frames(shared: &Shared, frames: Vec<DecodedFrame>) -> Vec<Reply> {
     // uploads fast — or, if the cooldown has passed, probe a reopen and
     // resume ingest on success. Queries never reach this path.
     if shared.degraded.flag.load(Ordering::SeqCst) && !try_recover(shared, &mut store) {
-        return metas
+        return traces
             .iter()
-            .map(|meta| {
+            .map(|trace| {
                 ptm_obs::counter!("rpc.shed.uploads").inc();
-                shed_reply(meta)
+                shed_reply(trace)
             })
             .collect();
     }
@@ -2188,16 +2123,15 @@ fn ingest_frames(shared: &Shared, frames: Vec<DecodedFrame>) -> Vec<Reply> {
         }
         return verdicts
             .iter()
-            .zip(&metas)
-            .map(|(verdict, meta)| match verdict {
+            .zip(&traces)
+            .map(|(verdict, trace)| match verdict {
                 FrameVerdict::Staged { .. } => {
                     ptm_obs::counter!("rpc.shed.uploads").inc();
-                    shed_reply(meta)
+                    shed_reply(trace)
                 }
                 FrameVerdict::Rejected(response) => Reply {
                     response: response.clone(),
-                    version: meta.0,
-                    trace: meta.1,
+                    trace: *trace,
                 },
             })
             .collect();
@@ -2213,8 +2147,8 @@ fn ingest_frames(shared: &Shared, frames: Vec<DecodedFrame>) -> Vec<Reply> {
     let mut duplicates_total = 0u64;
     let replies: Vec<Reply> = verdicts
         .into_iter()
-        .zip(&metas)
-        .map(|(verdict, meta)| {
+        .zip(&traces)
+        .map(|(verdict, trace)| {
             let response = match verdict {
                 FrameVerdict::Rejected(response) => response,
                 FrameVerdict::Staged { range, duplicates } => {
@@ -2246,8 +2180,7 @@ fn ingest_frames(shared: &Shared, frames: Vec<DecodedFrame>) -> Vec<Reply> {
             };
             Reply {
                 response,
-                version: meta.0,
-                trace: meta.1,
+                trace: *trace,
             }
         })
         .collect();
@@ -2860,54 +2793,98 @@ mod tests {
         cleanup_archive(&path);
     }
 
-    #[test]
-    fn v1_client_at_capacity_gets_clean_close_not_undecodable_frame() {
-        // Regression for the shed-path versioning bug: the Overloaded
-        // response used to be encoded in the server's own protocol
-        // version before any peer bytes were read, so a v1 client at
-        // capacity received a frame its decoder rejects (v1 predates the
-        // Overloaded tag). Now the reactor peeks the hello's version
-        // byte: v2+ gets Overloaded encoded no newer than it speaks, v1
-        // gets a clean close with zero bytes.
-        let path = temp_archive("shed-v1");
-        let config = ServerConfig {
-            max_connections: 1,
+    /// Drives one server `state` ("normal", "capacity" or "draining")
+    /// through a current-version ping and hellos in foreign versions 1, 2
+    /// and 4. On the normal path a foreign version gets
+    /// Error{VersionMismatch}, which the client treats as fatal (a bare
+    /// close would look like a retryable transport fault), and the
+    /// connection closes. Shed and drain answers read only the version
+    /// byte: a current peer gets Overloaded or GoingAway, any other byte a
+    /// clean close with zero bytes — never a frame a foreign decoder might
+    /// misread. Versions 1 and 2 are sent in their own header layout (no
+    /// flags byte), 4 in the current one.
+    fn assert_version_matrix_is_protocol_clean(state: &str) {
+        let foreign: [&[u8]; 3] = [&[1, 1], &[2, 1], &[4, 1, 0]];
+        let path = temp_archive(&format!("hello-{state}"));
+        let mut config = ServerConfig {
             retry_after_ms: 44,
             ..test_config()
         };
+        if state == "capacity" {
+            config.max_connections = 1;
+        }
         let server = RpcServer::start("127.0.0.1:0", &path, config).expect("start");
         let addr = server.local_addr();
-
         let mut held = connect(addr);
         assert!(matches!(
             exchange(&mut held, &Request::Ping),
             Response::Pong { .. }
         ));
-
-        // Hand-crafted v1 ping: `version | tag` (tag 1 = Ping), no flags
-        // byte.
-        let mut v1 = connect(addr);
-        write_frame(&mut v1, &[1, 1]).expect("write v1 ping");
-        match read_frame(&mut v1, DEFAULT_MAX_FRAME_LEN).expect("read") {
-            ReadOutcome::Closed => {}
-            other => panic!("v1 shed must close cleanly with zero bytes, got {other:?}"),
+        if state == "draining" {
+            server.drain();
         }
 
-        // A v2 peer gets Overloaded carried in a v2 header, never v3.
-        let mut v2 = connect(addr);
-        write_frame(&mut v2, &[2, 1]).expect("write v2 ping");
-        match read_frame(&mut v2, DEFAULT_MAX_FRAME_LEN).expect("read") {
-            ReadOutcome::Frame(bytes) => {
-                assert_eq!(bytes[0], 2, "reply header newer than the peer speaks");
-                assert_eq!(
-                    crate::proto::decode_response(&bytes).expect("decode"),
-                    Response::Overloaded { retry_after_ms: 44 }
+        let mut current = connect(addr);
+        let want = match state {
+            "normal" => Response::Pong {
+                version: PROTOCOL_VERSION,
+                s: 3,
+                records: 0,
+                degraded: false,
+            },
+            "capacity" => Response::Overloaded { retry_after_ms: 44 },
+            _ => Response::GoingAway { retry_after_ms: 44 },
+        };
+        assert_eq!(exchange(&mut current, &Request::Ping), want, "{state}");
+
+        for hello in foreign {
+            let mut peer = connect(addr);
+            write_frame(&mut peer, hello).expect("write foreign hello");
+            let outcome = read_frame(&mut peer, DEFAULT_MAX_FRAME_LEN).expect("read");
+            if state == "normal" {
+                match outcome {
+                    ReadOutcome::Frame(bytes) => assert!(matches!(
+                        crate::proto::decode_response(&bytes).expect("decode"),
+                        Response::Error {
+                            code: ErrorCode::VersionMismatch,
+                            ..
+                        }
+                    )),
+                    other => panic!(
+                        "version {}: expected an error frame, got {other:?}",
+                        hello[0]
+                    ),
+                }
+                let after = read_frame(&mut peer, DEFAULT_MAX_FRAME_LEN).expect("read");
+                assert!(matches!(after, ReadOutcome::Closed), "{after:?}");
+            } else {
+                assert!(
+                    matches!(outcome, ReadOutcome::Closed),
+                    "{state}, version {}: expected a clean close, got {outcome:?}",
+                    hello[0]
                 );
             }
-            other => panic!("expected a v2 Overloaded frame, got {other:?}"),
         }
         server.shutdown().expect("shutdown");
         cleanup_archive(&path);
+    }
+
+    #[test]
+    fn foreign_versions_get_version_mismatch_then_close() {
+        assert_version_matrix_is_protocol_clean("normal");
+    }
+
+    #[test]
+    fn v1_client_at_capacity_gets_clean_close_not_undecodable_frame() {
+        // Regression for the shed-path versioning bug: the Overloaded
+        // reply used to be encoded before any peer bytes were read, so a
+        // peer in another version got a frame its decoder rejects.
+        assert_version_matrix_is_protocol_clean("capacity");
+    }
+
+    #[test]
+    fn draining_server_version_matrix_stays_protocol_clean() {
+        assert_version_matrix_is_protocol_clean("draining");
     }
 
     #[test]
@@ -2933,7 +2910,7 @@ mod tests {
         server.drain();
         assert!(server.draining());
 
-        // A v3 request after the drain gets the explicit hand-off: the
+        // A request after the drain gets the explicit hand-off: the
         // reactor is still running, it just takes nothing new.
         let mut late = connect(addr);
         assert_eq!(
@@ -2958,51 +2935,6 @@ mod tests {
             other => panic!("expected Pong, got {other:?}"),
         }
         reopened.shutdown().expect("shutdown");
-        cleanup_archive(&path);
-    }
-
-    #[test]
-    fn draining_server_version_matrix_stays_protocol_clean() {
-        // Same discipline as the shed-path versioning fix: a draining
-        // server must never send a peer a frame its decoder predates. v1
-        // (no GoingAway, no Overloaded) gets a clean close; v2 gets the
-        // hand-off downgraded to the Overloaded tag it understands, in a
-        // v2 header; v3 gets GoingAway itself.
-        let path = temp_archive("drain-matrix");
-        let config = ServerConfig {
-            retry_after_ms: 58,
-            ..test_config()
-        };
-        let server = RpcServer::start("127.0.0.1:0", &path, config).expect("start");
-        let addr = server.local_addr();
-        server.drain();
-
-        let mut v1 = connect(addr);
-        write_frame(&mut v1, &[1, 1]).expect("write v1 ping");
-        match read_frame(&mut v1, DEFAULT_MAX_FRAME_LEN).expect("read") {
-            ReadOutcome::Closed => {}
-            other => panic!("v1 at a draining server must close cleanly, got {other:?}"),
-        }
-
-        let mut v2 = connect(addr);
-        write_frame(&mut v2, &[2, 1]).expect("write v2 ping");
-        match read_frame(&mut v2, DEFAULT_MAX_FRAME_LEN).expect("read") {
-            ReadOutcome::Frame(bytes) => {
-                assert_eq!(bytes[0], 2, "reply header newer than the peer speaks");
-                assert_eq!(
-                    crate::proto::decode_response(&bytes).expect("decode"),
-                    Response::Overloaded { retry_after_ms: 58 }
-                );
-            }
-            other => panic!("expected a v2 Overloaded frame, got {other:?}"),
-        }
-
-        let mut v3 = connect(addr);
-        assert_eq!(
-            exchange(&mut v3, &Request::Ping),
-            Response::GoingAway { retry_after_ms: 58 }
-        );
-        server.shutdown().expect("shutdown");
         cleanup_archive(&path);
     }
 

@@ -1,37 +1,34 @@
-//! The append-only record archive.
+//! Read-only scanner for the v1 single-file archive.
 //!
-//! File layout:
+//! Storage engine v1 kept every record in one append-only file. The
+//! segment store ([`crate::segment`]) replaced it; this scanner remains so
+//! [`SegmentStore::open_or_migrate`](crate::SegmentStore::open_or_migrate)
+//! can read an old file once and migrate it. File layout:
 //!
 //! ```text
 //! header:  "PTMA" (4) | version u16 = 1 | reserved u16
 //! frame:   payload length u32 | crc32(payload) u32 | payload bytes
 //! ```
 //!
-//! Recovery semantics distinguish two failure shapes:
+//! The scan distinguishes two failure shapes:
 //!
 //! * a **torn tail** — the process died mid-append; the final frame is
-//!   incomplete. Recovery keeps everything before it and reports the number
-//!   of truncated bytes.
+//!   incomplete. The scan keeps everything before it and reports the
+//!   number of torn bytes.
 //! * **mid-file corruption** — a checksum fails with complete frames after
 //!   it; that is media damage, surfaced as [`StoreError::CorruptFrame`]
 //!   rather than silently dropped.
 //!
-//! Writes are transactional at the batch level: [`Archive::append`] only
-//! buffers, and a commit (any of [`Archive::flush`], [`Archive::sync`], or
-//! the end of [`Archive::append_all`]) either lands the whole pending buffer
-//! or rolls the file back to the last committed byte, so
-//! [`Archive::record_count`] never runs ahead of durable state. All file
-//! traffic goes through a [`StorageIo`] backend, which is how the
-//! [`ptm_fault`] hooks (disk-full, failed fsync, short writes) reach the
-//! real code path.
+//! The scan never writes: the migration deletes the v1 file once its
+//! segment copy is durable, torn tail and all.
 
-use crate::codec::{decode_record, encode_record, StoreError};
+use crate::codec::{decode_record, StoreError};
 use crate::crc32::crc32;
-use crate::io::{FileIo, HookedIo, StorageIo, StoreHooks};
+use crate::segment::{le_u16, le_u32, read_exact_or_eof, ReadOutcome};
 use ptm_core::record::TrafficRecord;
-use std::fs::{File, OpenOptions};
-use std::io::{BufReader, BufWriter, Read, Write};
-use std::path::{Path, PathBuf};
+use std::fs::File;
+use std::io::{BufReader, Read};
+use std::path::Path;
 
 const MAGIC: [u8; 4] = *b"PTMA";
 const VERSION: u16 = 1;
@@ -40,479 +37,110 @@ const HEADER_LEN: u64 = 8;
 /// bitmap = 8 MiB).
 const MAX_PAYLOAD: u32 = 32 * 1024 * 1024;
 
-/// When a commit is considered durable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SyncPolicy {
-    /// Commits flush to the OS (data survives a process crash, not
-    /// necessarily a power cut). The historical behaviour, and the default.
-    #[default]
-    Flush,
-    /// Every commit also fsyncs; an fsync failure rolls the commit back, so
-    /// an acked batch is on stable storage.
-    Fsync,
-}
-
-/// An open archive, ready for appends.
+/// What scanning a v1 archive found.
 #[derive(Debug)]
-pub struct Archive {
-    path: PathBuf,
-    io: Box<dyn StorageIo>,
-    hooks: StoreHooks,
-    sync_policy: SyncPolicy,
-    committed_len: u64,
-    committed_records: usize,
-    pending: Vec<u8>,
-    pending_records: usize,
-    wedged: bool,
+pub(crate) struct V1Scan {
+    /// Records decoded from intact frames, in file order.
+    pub(crate) records: Vec<TrafficRecord>,
+    /// Bytes of a torn final frame (0 after a clean shutdown).
+    pub(crate) torn_bytes: u64,
 }
 
-/// The result of opening an existing archive file.
-#[derive(Debug)]
-pub struct RecoveredArchive {
-    /// The archive, positioned for further appends.
-    pub archive: Archive,
-    /// Records recovered from intact frames.
-    pub records: Vec<TrafficRecord>,
-    /// Bytes discarded from a torn final frame (0 for a clean shutdown).
-    pub torn_bytes: u64,
+/// Validates every frame of the v1 archive at `path` and decodes its
+/// records.
+///
+/// # Errors
+///
+/// * [`StoreError::BadHeader`] if the file is not a v1 archive;
+/// * [`StoreError::CorruptFrame`] on mid-file checksum failure or an
+///   implausible frame length;
+/// * record decode and I/O failures.
+pub(crate) fn scan_v1(path: &Path) -> Result<V1Scan, StoreError> {
+    let file = File::open(path)?;
+    let file_len = file.metadata()?.len();
+    let mut reader = BufReader::new(file);
+
+    let mut header = [0u8; 8];
+    reader
+        .read_exact(&mut header)
+        .map_err(|_| StoreError::BadHeader)?;
+    if header[0..4] != MAGIC || le_u16(&header[4..6]) != VERSION {
+        return Err(StoreError::BadHeader);
+    }
+
+    let mut records = Vec::new();
+    let mut offset = HEADER_LEN;
+    let mut torn_bytes = 0u64;
+    loop {
+        let mut frame_header = [0u8; 8];
+        match read_exact_or_eof(&mut reader, &mut frame_header)? {
+            ReadOutcome::Eof => break,
+            ReadOutcome::Partial => {
+                torn_bytes = file_len - offset;
+                break;
+            }
+            ReadOutcome::Full => {}
+        }
+        let len = le_u32(&frame_header[0..4]);
+        let expected_crc = le_u32(&frame_header[4..8]);
+        if len > MAX_PAYLOAD {
+            // An absurd length is corruption of the header itself.
+            return Err(StoreError::CorruptFrame { offset });
+        }
+        let mut payload = vec![0u8; len as usize];
+        match read_exact_or_eof(&mut reader, &mut payload)? {
+            ReadOutcome::Full => {}
+            ReadOutcome::Eof | ReadOutcome::Partial => {
+                torn_bytes = file_len - offset;
+                break;
+            }
+        }
+        if crc32(&payload) != expected_crc {
+            // Distinguish a torn tail (nothing after this frame) from
+            // mid-file damage: if this frame reaches EOF exactly, treat it
+            // as torn; otherwise it is corruption.
+            if offset + 8 + len as u64 >= file_len {
+                torn_bytes = file_len - offset;
+                break;
+            }
+            return Err(StoreError::CorruptFrame { offset });
+        }
+        records.push(decode_record(&payload)?);
+        offset += 8 + len as u64;
+    }
+    Ok(V1Scan {
+        records,
+        torn_bytes,
+    })
 }
 
-fn le_u16(bytes: &[u8]) -> u16 {
-    let mut raw = [0u8; 2];
-    raw.copy_from_slice(&bytes[..2]);
-    u16::from_le_bytes(raw)
-}
-
-fn le_u32(bytes: &[u8]) -> u32 {
-    let mut raw = [0u8; 4];
-    raw.copy_from_slice(&bytes[..4]);
-    u32::from_le_bytes(raw)
-}
-
-pub(crate) fn build_io(file: File, hooks: &StoreHooks) -> Box<dyn StorageIo> {
-    if hooks.is_active() {
-        Box::new(HookedIo::new(FileIo::new(file), hooks.clone()))
-    } else {
-        Box::new(FileIo::new(file))
+/// Writes a v1 archive holding `records` — the test-side stand-in for the
+/// retired v1 writer, byte-identical to what it produced.
+#[cfg(test)]
+pub(crate) fn write_v1(path: &Path, records: &[TrafficRecord]) -> std::io::Result<()> {
+    let mut bytes = MAGIC.to_vec();
+    bytes.extend_from_slice(&VERSION.to_le_bytes());
+    bytes.extend_from_slice(&0u16.to_le_bytes());
+    for record in records {
+        let payload = crate::codec::encode_record(record);
+        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
+        bytes.extend_from_slice(&payload);
     }
-}
-
-impl Archive {
-    /// Creates a new, empty archive (truncating any existing file).
-    ///
-    /// # Errors
-    ///
-    /// I/O failures.
-    pub fn create(path: impl AsRef<Path>) -> Result<Self, StoreError> {
-        Self::create_opts(path, StoreHooks::disabled(), SyncPolicy::Flush)
-    }
-
-    /// [`Archive::create`] with explicit fault hooks and sync policy.
-    ///
-    /// The header write uses plain I/O (fault schedules start counting at
-    /// the first record write, not at file creation).
-    ///
-    /// # Errors
-    ///
-    /// I/O failures.
-    pub fn create_opts(
-        path: impl AsRef<Path>,
-        hooks: StoreHooks,
-        sync_policy: SyncPolicy,
-    ) -> Result<Self, StoreError> {
-        let path = path.as_ref().to_path_buf();
-        {
-            let mut file = File::create(&path)?;
-            file.write_all(&MAGIC)?;
-            file.write_all(&VERSION.to_le_bytes())?;
-            file.write_all(&0u16.to_le_bytes())?;
-            file.flush()?;
-        }
-        // Append mode: even after a rollback truncate, the next write lands
-        // at the real EOF instead of leaving a hole at the old position.
-        let file = OpenOptions::new().append(true).open(&path)?;
-        let io = build_io(file, &hooks);
-        Ok(Self {
-            path,
-            io,
-            hooks,
-            sync_policy,
-            committed_len: HEADER_LEN,
-            committed_records: 0,
-            pending: Vec::new(),
-            pending_records: 0,
-            wedged: false,
-        })
-    }
-
-    /// Opens an existing archive, validating every frame and recovering
-    /// from a torn tail.
-    ///
-    /// # Errors
-    ///
-    /// * [`StoreError::BadHeader`] if the file is not a v1 archive;
-    /// * [`StoreError::CorruptFrame`] on mid-file checksum failure;
-    /// * I/O failures.
-    pub fn open(path: impl AsRef<Path>) -> Result<RecoveredArchive, StoreError> {
-        Self::open_opts(path, StoreHooks::disabled(), SyncPolicy::Flush)
-    }
-
-    /// [`Archive::open`] with explicit fault hooks and sync policy.
-    ///
-    /// Recovery itself (frame validation and the torn-tail truncate) uses
-    /// plain I/O; the hooks govern subsequent appends.
-    ///
-    /// # Errors
-    ///
-    /// As [`Archive::open`].
-    pub fn open_opts(
-        path: impl AsRef<Path>,
-        hooks: StoreHooks,
-        sync_policy: SyncPolicy,
-    ) -> Result<RecoveredArchive, StoreError> {
-        let path = path.as_ref().to_path_buf();
-        let file = File::open(&path)?;
-        let file_len = file.metadata()?.len();
-        let mut reader = BufReader::new(file);
-
-        let mut header = [0u8; 8];
-        reader
-            .read_exact(&mut header)
-            .map_err(|_| StoreError::BadHeader)?;
-        if header[0..4] != MAGIC || le_u16(&header[4..6]) != VERSION {
-            return Err(StoreError::BadHeader);
-        }
-
-        let mut records = Vec::new();
-        let mut offset = HEADER_LEN;
-        let mut torn_bytes = 0u64;
-        loop {
-            let mut frame_header = [0u8; 8];
-            match read_exact_or_eof(&mut reader, &mut frame_header)? {
-                ReadOutcome::Eof => break,
-                ReadOutcome::Partial(n) => {
-                    torn_bytes = file_len - offset;
-                    debug_assert!(n < 8);
-                    break;
-                }
-                ReadOutcome::Full => {}
-            }
-            let len = le_u32(&frame_header[0..4]);
-            let expected_crc = le_u32(&frame_header[4..8]);
-            if len > MAX_PAYLOAD {
-                // An absurd length is corruption of the header itself.
-                return Err(StoreError::CorruptFrame { offset });
-            }
-            let mut payload = vec![0u8; len as usize];
-            match read_exact_or_eof(&mut reader, &mut payload)? {
-                ReadOutcome::Full => {}
-                ReadOutcome::Eof | ReadOutcome::Partial(_) => {
-                    torn_bytes = file_len - offset;
-                    break;
-                }
-            }
-            if crc32(&payload) != expected_crc {
-                // Distinguish a torn tail (nothing after this frame) from
-                // mid-file damage: if this frame reaches EOF exactly, treat
-                // it as torn; otherwise it is corruption.
-                let frame_end = offset + 8 + len as u64;
-                if frame_end >= file_len {
-                    torn_bytes = file_len - offset;
-                    break;
-                }
-                return Err(StoreError::CorruptFrame { offset });
-            }
-            records.push(decode_record(&payload)?);
-            offset += 8 + len as u64;
-        }
-
-        // Truncate any torn tail so future appends start on a clean frame
-        // boundary.
-        let file = OpenOptions::new().write(true).open(&path)?;
-        file.set_len(offset)?;
-        let file = OpenOptions::new().append(true).open(&path)?;
-        let io = build_io(file, &hooks);
-        let committed_records = records.len();
-        Ok(RecoveredArchive {
-            archive: Self {
-                path,
-                io,
-                hooks,
-                sync_policy,
-                committed_len: offset,
-                committed_records,
-                pending: Vec::new(),
-                pending_records: 0,
-                wedged: false,
-            },
-            records,
-            torn_bytes,
-        })
-    }
-
-    /// The file this archive writes to.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Records committed to the file (never counts buffered-but-unflushed
-    /// appends, and never runs ahead of a failed commit).
-    pub fn record_count(&self) -> usize {
-        self.committed_records
-    }
-
-    /// Committed file length in bytes (header included).
-    pub fn committed_len(&self) -> u64 {
-        self.committed_len
-    }
-
-    /// The configured durability policy.
-    pub fn sync_policy(&self) -> SyncPolicy {
-        self.sync_policy
-    }
-
-    /// Changes the durability policy for subsequent commits.
-    pub fn set_sync_policy(&mut self, policy: SyncPolicy) {
-        self.sync_policy = policy;
-    }
-
-    /// Whether a rollback failed, leaving the file with a possibly-garbage
-    /// tail. A wedged archive refuses appends ([`StoreError::Wedged`]) until
-    /// rebuilt via [`Archive::compact`] or reopened via [`Archive::open`].
-    pub fn is_wedged(&self) -> bool {
-        self.wedged
-    }
-
-    /// Buffers a record frame (no file I/O until the next commit:
-    /// [`Archive::flush`], [`Archive::sync`], or [`Archive::append_all`]).
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Wedged`] after a failed rollback.
-    pub fn append(&mut self, record: &TrafficRecord) -> Result<(), StoreError> {
-        if self.wedged {
-            return Err(StoreError::Wedged);
-        }
-        let payload = encode_record(record);
-        self.pending.reserve(8 + payload.len());
-        self.pending
-            .extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        self.pending
-            .extend_from_slice(&crc32(&payload).to_le_bytes());
-        self.pending.extend_from_slice(&payload);
-        self.pending_records += 1;
-        Ok(())
-    }
-
-    /// Appends every record in order, then commits once.
-    ///
-    /// This is the batched ingest path: a daemon persisting an upload batch
-    /// wants every frame buffered and a single flush before it acks. The
-    /// commit is all-or-nothing over everything pending (this batch plus any
-    /// earlier uncommitted [`Archive::append`]s): on failure the file is
-    /// rolled back to the last committed byte and the in-memory record count
-    /// is unchanged, so a retry starts from a clean frame boundary and an
-    /// ack is never ahead of the file. Returns the number of records
-    /// appended by this call.
-    ///
-    /// # Errors
-    ///
-    /// I/O failures (after rollback); [`StoreError::Wedged`] if a rollback
-    /// failed now or previously.
-    pub fn append_all<'a, I>(&mut self, records: I) -> Result<usize, StoreError>
-    where
-        I: IntoIterator<Item = &'a TrafficRecord>,
-    {
-        let mut appended = 0usize;
-        for record in records {
-            self.append(record)?;
-            appended += 1;
-        }
-        self.commit()?;
-        Ok(appended)
-    }
-
-    /// Commits pending frames to the OS (fsyncs too under
-    /// [`SyncPolicy::Fsync`]).
-    ///
-    /// # Errors
-    ///
-    /// I/O failures (after rollback); [`StoreError::Wedged`].
-    pub fn flush(&mut self) -> Result<(), StoreError> {
-        self.commit()
-    }
-
-    /// Commits pending frames and fsyncs (explicit durability point,
-    /// regardless of policy).
-    ///
-    /// # Errors
-    ///
-    /// I/O failures; [`StoreError::Wedged`]. An fsync failure *after* a
-    /// successful commit does not roll back — the bytes are in the file,
-    /// only their durability is unconfirmed.
-    pub fn sync(&mut self) -> Result<(), StoreError> {
-        self.commit()?;
-        if self.sync_policy == SyncPolicy::Fsync {
-            // commit() already synced.
-            return Ok(());
-        }
-        self.io.sync()?;
-        Ok(())
-    }
-
-    /// Writes everything pending and advances the committed watermark, or
-    /// rolls the file back to it.
-    fn commit(&mut self) -> Result<(), StoreError> {
-        if self.wedged {
-            return Err(StoreError::Wedged);
-        }
-        if self.pending.is_empty() {
-            // Nothing buffered; still flush the backend so `flush()` keeps
-            // its historical contract.
-            self.io.flush()?;
-            return Ok(());
-        }
-        let written = self
-            .io
-            .write_all(&self.pending)
-            .and_then(|()| self.io.flush());
-        if let Err(err) = written {
-            self.rollback();
-            return Err(err.into());
-        }
-        if self.sync_policy == SyncPolicy::Fsync {
-            if let Err(err) = self.io.sync() {
-                self.rollback();
-                return Err(err.into());
-            }
-        }
-        self.committed_len += self.pending.len() as u64;
-        self.committed_records += self.pending_records;
-        self.pending.clear();
-        self.pending_records = 0;
-        Ok(())
-    }
-
-    /// Discards the pending buffer and truncates the file back to the last
-    /// committed byte. A failed truncate wedges the archive: we can no
-    /// longer prove the file ends on a frame boundary.
-    fn rollback(&mut self) {
-        let dropped_bytes = self.pending.len() as u64;
-        let dropped_records = self.pending_records;
-        self.pending.clear();
-        self.pending_records = 0;
-        ptm_obs::counter!("store.recovery.rollbacks").inc();
-        ptm_obs::counter!("store.recovery.rolled_back_records").add(dropped_records as u64);
-        match self.io.set_len(self.committed_len) {
-            Ok(()) => {
-                ptm_obs::counter!("store.recovery.rolled_back_bytes").add(dropped_bytes);
-                ptm_obs::warn!(
-                    "store.archive",
-                    "commit failed; rolled back to last durable frame";
-                    committed_len = self.committed_len,
-                    dropped_records = dropped_records as u64
-                );
-            }
-            Err(err) => {
-                self.wedged = true;
-                ptm_obs::counter!("store.recovery.wedged").inc();
-                ptm_obs::gauge!("store.archive.wedged").set(1);
-                ptm_obs::error!(
-                    "store.archive",
-                    "rollback truncate failed; archive wedged until compact/reopen";
-                    error = format!("{err}"),
-                    committed_len = self.committed_len
-                );
-            }
-        }
-    }
-
-    /// Rewrites the archive to contain exactly `records` (atomically, via a
-    /// sibling temp file and rename), dropping any wedged/garbage tail, and
-    /// returns the number of bytes reclaimed.
-    ///
-    /// Compaction is the recovery path, so it deliberately uses plain
-    /// (non-fault-injected) I/O and clears the wedged flag on success.
-    ///
-    /// # Errors
-    ///
-    /// I/O failures. The original file is untouched unless the rename
-    /// succeeded.
-    pub fn compact(&mut self, records: &[TrafficRecord]) -> Result<u64, StoreError> {
-        if self.wedged {
-            // The pending buffer already rolled back in memory; whatever
-            // tail is on disk is untrusted and gets dropped by the rewrite.
-            self.pending.clear();
-            self.pending_records = 0;
-        } else {
-            self.commit()?;
-        }
-        let old_len = std::fs::metadata(&self.path)?.len();
-        let tmp = self.path.with_extension("compact");
-        let mut new_len = HEADER_LEN;
-        {
-            let file = File::create(&tmp)?;
-            let mut writer = BufWriter::new(file);
-            writer.write_all(&MAGIC)?;
-            writer.write_all(&VERSION.to_le_bytes())?;
-            writer.write_all(&0u16.to_le_bytes())?;
-            for record in records {
-                let payload = encode_record(record);
-                writer.write_all(&(payload.len() as u32).to_le_bytes())?;
-                writer.write_all(&crc32(&payload).to_le_bytes())?;
-                writer.write_all(&payload)?;
-                new_len += 8 + payload.len() as u64;
-            }
-            writer.flush()?;
-            writer.get_ref().sync_all()?;
-        }
-        std::fs::rename(&tmp, &self.path)?;
-        let file = OpenOptions::new().append(true).open(&self.path)?;
-        self.io = build_io(file, &self.hooks);
-        self.committed_len = new_len;
-        self.committed_records = records.len();
-        self.wedged = false;
-        ptm_obs::gauge!("store.archive.wedged").set(0);
-        ptm_obs::counter!("store.recovery.compactions").inc();
-        Ok(old_len.saturating_sub(new_len))
-    }
-}
-
-pub(crate) enum ReadOutcome {
-    Full,
-    Partial(usize),
-    Eof,
-}
-
-pub(crate) fn read_exact_or_eof<R: Read>(
-    reader: &mut R,
-    buf: &mut [u8],
-) -> Result<ReadOutcome, StoreError> {
-    let mut filled = 0usize;
-    while filled < buf.len() {
-        let n = reader.read(&mut buf[filled..])?;
-        if n == 0 {
-            return Ok(if filled == 0 {
-                ReadOutcome::Eof
-            } else {
-                ReadOutcome::Partial(filled)
-            });
-        }
-        filled += n;
-    }
-    Ok(ReadOutcome::Full)
+    std::fs::write(path, bytes)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::io::StoreHooks;
     use ptm_core::encoding::{EncodingScheme, LocationId, VehicleSecrets};
     use ptm_core::params::BitmapSize;
     use ptm_core::record::PeriodId;
     use ptm_fault::{sites, FaultAction, FaultPlan, Rule};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
-    use std::io::ErrorKind;
+    use std::path::PathBuf;
 
     fn temp_path(name: &str) -> PathBuf {
         let mut path = std::env::temp_dir();
@@ -539,46 +167,24 @@ mod tests {
             .collect()
     }
 
+    /// Chops `bytes` off the end of the file (a simulated crash mid-write).
+    fn chop(path: &Path, bytes: u64) {
+        let len = std::fs::metadata(path).expect("meta").len();
+        let file = std::fs::OpenOptions::new()
+            .write(true)
+            .open(path)
+            .expect("open rw");
+        file.set_len(len - bytes).expect("truncate");
+    }
+
     #[test]
     fn write_then_recover_roundtrip() {
         let path = temp_path("roundtrip");
         let records = sample_records(5);
-        {
-            let mut archive = Archive::create(&path).expect("create");
-            for record in &records {
-                archive.append(record).expect("append");
-            }
-            archive.sync().expect("sync");
-            assert_eq!(archive.record_count(), 5);
-        }
-        let recovered = Archive::open(&path).expect("open");
-        assert_eq!(recovered.records, records);
-        assert_eq!(recovered.torn_bytes, 0);
-        assert_eq!(recovered.archive.record_count(), 5);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn append_after_recovery() {
-        let path = temp_path("append-after");
-        let records = sample_records(4);
-        {
-            let mut archive = Archive::create(&path).expect("create");
-            for record in &records[..2] {
-                archive.append(record).expect("append");
-            }
-            archive.sync().expect("sync");
-        }
-        {
-            let mut recovered = Archive::open(&path).expect("open");
-            assert_eq!(recovered.records.len(), 2);
-            for record in &records[2..] {
-                recovered.archive.append(record).expect("append");
-            }
-            recovered.archive.sync().expect("sync");
-        }
-        let all = Archive::open(&path).expect("reopen");
-        assert_eq!(all.records, records);
+        write_v1(&path, &records).expect("write v1");
+        let scan = scan_v1(&path).expect("scan");
+        assert_eq!(scan.records, records);
+        assert_eq!(scan.torn_bytes, 0);
         std::fs::remove_file(&path).ok();
     }
 
@@ -586,48 +192,17 @@ mod tests {
     fn torn_tail_is_recovered() {
         let path = temp_path("torn");
         let records = sample_records(3);
-        {
-            let mut archive = Archive::create(&path).expect("create");
-            for record in &records {
-                archive.append(record).expect("append");
-            }
-            archive.sync().expect("sync");
-        }
-        // Chop 10 bytes off the final frame (simulated crash mid-write).
+        write_v1(&path, &records).expect("write v1");
+        // Chop 10 bytes off the final frame's payload.
+        chop(&path, 10);
         let len = std::fs::metadata(&path).expect("meta").len();
-        let file = OpenOptions::new().write(true).open(&path).expect("open rw");
-        file.set_len(len - 10).expect("truncate");
-        drop(file);
 
-        let recovered = Archive::open(&path).expect("open survives torn tail");
-        assert_eq!(recovered.records, records[..2].to_vec());
-        assert!(recovered.torn_bytes > 0);
-        // The file is now clean: reopening reports no tear.
-        drop(recovered);
-        let clean = Archive::open(&path).expect("reopen");
-        assert_eq!(clean.torn_bytes, 0);
-        assert_eq!(clean.records.len(), 2);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn append_all_batches_with_single_flush() {
-        let path = temp_path("append-all");
-        let records = sample_records(6);
-        {
-            let mut archive = Archive::create(&path).expect("create");
-            let appended = archive.append_all(&records[..4]).expect("batch");
-            assert_eq!(appended, 4);
-            // append_all flushed: a reader sees the batch without sync().
-            let visible = Archive::open(&path).expect("open mid-write");
-            assert_eq!(visible.records.len(), 4);
-            let appended = archive.append_all(&records[4..]).expect("second batch");
-            assert_eq!(appended, 2);
-            assert_eq!(archive.append_all([]).expect("empty batch"), 0);
-            archive.sync().expect("sync");
-        }
-        let recovered = Archive::open(&path).expect("open");
-        assert_eq!(recovered.records, records);
+        let scan = scan_v1(&path).expect("scan survives torn tail");
+        assert_eq!(scan.records, records[..2].to_vec());
+        assert!(scan.torn_bytes > 0);
+        // Read-only: the torn bytes are reported, not truncated away.
+        assert_eq!(std::fs::metadata(&path).expect("meta").len(), len);
+        assert_eq!(scan_v1(&path).expect("rescan").torn_bytes, scan.torn_bytes);
         std::fs::remove_file(&path).ok();
     }
 
@@ -635,51 +210,42 @@ mod tests {
     fn append_all_torn_final_frame_recovers_prefix() {
         let path = temp_path("append-all-torn");
         let records = sample_records(5);
-        {
-            let mut archive = Archive::create(&path).expect("create");
-            archive.append_all(&records).expect("batch");
-            archive.sync().expect("sync");
+        write_v1(&path, &records).expect("write v1");
+        let last = crate::codec::encode_record(&records[4]).len() as u64 + 8;
+        // The v1 writer committed a batch with one `append_all`; a crash
+        // anywhere inside the batch's final frame — header included —
+        // keeps exactly the four complete frames before it.
+        for cut in [1, 7, last - 4, last - 1] {
+            write_v1(&path, &records).expect("rewrite v1");
+            chop(&path, cut);
+            let scan = scan_v1(&path).expect("scan survives torn frame");
+            assert_eq!(scan.records, records[..4].to_vec(), "cut {cut}");
+            assert_eq!(scan.torn_bytes, last - cut, "cut {cut}");
         }
-        // Simulate a crash mid-way through the batch's final frame.
-        let len = std::fs::metadata(&path).expect("meta").len();
-        let file = OpenOptions::new().write(true).open(&path).expect("open rw");
-        file.set_len(len - 7).expect("truncate");
-        drop(file);
-
-        let recovered = Archive::open(&path).expect("open survives torn batch");
-        assert_eq!(recovered.records, records[..4].to_vec());
-        assert!(recovered.torn_bytes > 0);
-
-        // Re-appending the lost tail through append_all lands on a clean
-        // frame boundary and makes the archive whole again.
-        let mut archive = recovered.archive;
-        assert_eq!(archive.append_all(&records[4..]).expect("repair"), 1);
-        archive.sync().expect("sync");
-        let whole = Archive::open(&path).expect("reopen");
-        assert_eq!(whole.records, records);
-        assert_eq!(whole.torn_bytes, 0);
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn mid_file_corruption_is_an_error_not_a_skip() {
         let path = temp_path("corrupt");
-        let records = sample_records(3);
-        {
-            let mut archive = Archive::create(&path).expect("create");
-            for record in &records {
-                archive.append(record).expect("append");
-            }
-            archive.sync().expect("sync");
-        }
+        write_v1(&path, &sample_records(3)).expect("write v1");
         // Flip a payload byte in the FIRST frame (complete frames follow).
         let mut bytes = std::fs::read(&path).expect("read");
         bytes[30] ^= 0xFF;
         std::fs::write(&path, &bytes).expect("write");
-        match Archive::open(&path) {
+        match scan_v1(&path) {
             Err(StoreError::CorruptFrame { offset }) => assert_eq!(offset, 8),
             other => panic!("expected CorruptFrame, got {other:?}"),
         }
+        // An implausible length word is corruption too, not a torn tail.
+        let mut bytes = std::fs::read(&path).expect("read");
+        bytes[30] ^= 0xFF;
+        bytes[8..12].copy_from_slice(&(MAX_PAYLOAD + 1).to_le_bytes());
+        std::fs::write(&path, &bytes).expect("write");
+        assert!(matches!(
+            scan_v1(&path),
+            Err(StoreError::CorruptFrame { offset: 8 })
+        ));
         std::fs::remove_file(&path).ok();
     }
 
@@ -687,26 +253,30 @@ mod tests {
     fn wrong_magic_rejected() {
         let path = temp_path("magic");
         std::fs::write(&path, b"NOTANARCHIVE").expect("write");
-        assert!(matches!(Archive::open(&path), Err(StoreError::BadHeader)));
+        assert!(matches!(scan_v1(&path), Err(StoreError::BadHeader)));
+        // A segment file's header is not a v1 header either.
+        std::fs::write(&path, b"PTMS\x02\x00\x00\x00").expect("write");
+        assert!(matches!(scan_v1(&path), Err(StoreError::BadHeader)));
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn empty_archive_roundtrip() {
         let path = temp_path("empty");
-        {
-            Archive::create(&path).expect("create");
-        }
-        let recovered = Archive::open(&path).expect("open");
-        assert!(recovered.records.is_empty());
-        assert_eq!(recovered.torn_bytes, 0);
+        write_v1(&path, &[]).expect("write v1");
+        let scan = scan_v1(&path).expect("scan");
+        assert!(scan.records.is_empty());
+        assert_eq!(scan.torn_bytes, 0);
+        // A zero-byte file has no header at all.
+        std::fs::write(&path, b"").expect("write");
+        assert!(matches!(scan_v1(&path), Err(StoreError::BadHeader)));
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn estimates_survive_persistence() {
-        // Archive a whole campaign, reload it, and estimate from the
-        // reloaded records: byte-identical behaviour.
+        // Archive a whole campaign, scan it back, and estimate from the
+        // scanned records: byte-identical behaviour.
         let path = temp_path("estimate");
         let scheme = EncodingScheme::new(11, 3);
         let mut rng = ChaCha8Rng::seed_from_u64(2);
@@ -714,195 +284,30 @@ mod tests {
             .map(|_| VehicleSecrets::generate(&mut rng, 3))
             .collect();
         let mut originals = Vec::new();
-        {
-            let mut archive = Archive::create(&path).expect("create");
-            for p in 0..5u32 {
-                let mut record = TrafficRecord::new(
-                    LocationId::new(3),
-                    PeriodId::new(p),
-                    BitmapSize::new(4096).expect("pow2"),
-                );
-                for v in &commons {
-                    record.encode(&scheme, v);
-                }
-                for _ in 0..1500 {
-                    let v = VehicleSecrets::generate(&mut rng, 3);
-                    record.encode(&scheme, &v);
-                }
-                archive.append(&record).expect("append");
-                originals.push(record);
+        for p in 0..5u32 {
+            let mut record = TrafficRecord::new(
+                LocationId::new(3),
+                PeriodId::new(p),
+                BitmapSize::new(4096).expect("pow2"),
+            );
+            for v in &commons {
+                record.encode(&scheme, v);
             }
-            archive.sync().expect("sync");
+            for _ in 0..1500 {
+                let v = VehicleSecrets::generate(&mut rng, 3);
+                record.encode(&scheme, &v);
+            }
+            originals.push(record);
         }
-        let recovered = Archive::open(&path).expect("open");
+        write_v1(&path, &originals).expect("write v1");
+        let scan = scan_v1(&path).expect("scan");
         let from_disk = ptm_core::point::PointEstimator::new()
-            .estimate(&recovered.records)
+            .estimate(&scan.records)
             .expect("estimate");
         let from_memory = ptm_core::point::PointEstimator::new()
             .estimate(&originals)
             .expect("estimate");
         assert_eq!(from_disk, from_memory);
-        std::fs::remove_file(&path).ok();
-    }
-
-    // --- fault-injected hardening tests -----------------------------------
-
-    fn hooks_for(plan: &FaultPlan) -> StoreHooks {
-        StoreHooks::from_plan(plan)
-    }
-
-    #[test]
-    fn mid_batch_write_error_rolls_back_memory_and_file() {
-        // Regression for the append_all partial-failure bug: a short write
-        // followed by ENOSPC used to leave the in-memory record count (and a
-        // garbage partial frame) ahead of the recoverable file.
-        let path = temp_path("midbatch-rollback");
-        let plan = FaultPlan::builder(11)
-            .rule(sites::STORE_WRITE, Rule::nth(1, FaultAction::Short(4)))
-            .rule(
-                sites::STORE_WRITE,
-                Rule::nth(2, FaultAction::Error(ErrorKind::StorageFull)),
-            )
-            .build()
-            .expect("plan");
-        let records = sample_records(3);
-        let mut archive =
-            Archive::create_opts(&path, hooks_for(&plan), SyncPolicy::Flush).expect("create");
-
-        let err = archive
-            .append_all(&records)
-            .expect_err("injected ENOSPC must surface");
-        assert!(matches!(err, StoreError::Io(ref io) if io.kind() == ErrorKind::StorageFull));
-        assert_eq!(
-            archive.record_count(),
-            0,
-            "no record may be counted past the failure"
-        );
-        assert_eq!(
-            archive.committed_len(),
-            8,
-            "file rolled back to the bare header"
-        );
-        assert_eq!(
-            std::fs::metadata(&path).expect("meta").len(),
-            8,
-            "the 4 short-written bytes must be truncated away"
-        );
-        assert!(!archive.is_wedged());
-
-        // The retry starts from a clean boundary and fully lands.
-        assert_eq!(archive.append_all(&records).expect("retry"), 3);
-        assert_eq!(archive.record_count(), 3);
-        drop(archive);
-        let recovered = Archive::open(&path).expect("reopen");
-        assert_eq!(recovered.records, records, "each record exactly once");
-        assert_eq!(recovered.torn_bytes, 0);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn fsync_failure_rolls_back_under_fsync_policy() {
-        let path = temp_path("fsync-rollback");
-        let plan = FaultPlan::builder(12)
-            .rule(
-                sites::STORE_SYNC,
-                Rule::nth(1, FaultAction::Error(ErrorKind::Other)),
-            )
-            .build()
-            .expect("plan");
-        let records = sample_records(2);
-        let mut archive =
-            Archive::create_opts(&path, hooks_for(&plan), SyncPolicy::Fsync).expect("create");
-        assert_eq!(archive.sync_policy(), SyncPolicy::Fsync);
-
-        archive
-            .append_all(&records)
-            .expect_err("failed fsync must fail the commit");
-        assert_eq!(archive.record_count(), 0);
-        assert_eq!(std::fs::metadata(&path).expect("meta").len(), 8);
-
-        assert_eq!(archive.append_all(&records).expect("retry syncs"), 2);
-        assert_eq!(archive.record_count(), 2);
-        let recovered = Archive::open(&path).expect("reopen");
-        assert_eq!(recovered.records, records);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn failed_rollback_wedges_archive_and_compact_heals_it() {
-        let path = temp_path("wedged");
-        let plan = FaultPlan::builder(13)
-            .rule(sites::STORE_WRITE, Rule::nth(1, FaultAction::Short(4)))
-            .rule(
-                sites::STORE_WRITE,
-                Rule::nth(2, FaultAction::Error(ErrorKind::StorageFull)),
-            )
-            .rule(
-                sites::STORE_SET_LEN,
-                Rule::nth(1, FaultAction::Error(ErrorKind::Other)),
-            )
-            .build()
-            .expect("plan");
-        let records = sample_records(3);
-        let mut archive =
-            Archive::create_opts(&path, hooks_for(&plan), SyncPolicy::Flush).expect("create");
-
-        archive.append_all(&records[..2]).expect_err("commit fails");
-        assert!(
-            archive.is_wedged(),
-            "failed truncate must wedge the archive"
-        );
-        assert!(matches!(
-            archive.append(&records[2]),
-            Err(StoreError::Wedged)
-        ));
-        assert!(matches!(
-            archive.append_all(&records),
-            Err(StoreError::Wedged)
-        ));
-        assert_eq!(archive.record_count(), 0);
-
-        // Compaction rebuilds the file from known-good records and clears
-        // the wedge; the 4-byte garbage tail is gone.
-        let reclaimed = archive.compact(&records[..1]).expect("compact");
-        assert!(!archive.is_wedged());
-        assert_eq!(archive.record_count(), 1);
-        let _ = reclaimed; // may be 0: garbage tail was tiny
-        assert_eq!(
-            archive
-                .append_all(&records[1..])
-                .expect("appends work again"),
-            2
-        );
-        let recovered = Archive::open(&path).expect("reopen");
-        assert_eq!(recovered.records, records);
-        assert_eq!(recovered.torn_bytes, 0);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn compact_rewrites_and_reclaims_space() {
-        let path = temp_path("compact");
-        let records = sample_records(5);
-        let mut archive = Archive::create(&path).expect("create");
-        archive.append_all(&records).expect("batch");
-        let full_len = std::fs::metadata(&path).expect("meta").len();
-
-        let reclaimed = archive.compact(&records[..2]).expect("compact");
-        assert!(reclaimed > 0);
-        assert_eq!(archive.record_count(), 2);
-        assert_eq!(
-            std::fs::metadata(&path).expect("meta").len(),
-            full_len - reclaimed
-        );
-        // The temp file is gone and the survivor set reads back cleanly.
-        assert!(!path.with_extension("compact").exists());
-        archive
-            .append_all(&records[2..3])
-            .expect("post-compact append");
-        drop(archive);
-        let recovered = Archive::open(&path).expect("reopen");
-        assert_eq!(recovered.records, records[..3].to_vec());
         std::fs::remove_file(&path).ok();
     }
 

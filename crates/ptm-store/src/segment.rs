@@ -23,14 +23,13 @@
 //! reads go through a pinned-LRU [`PageCache`] instead of full memory
 //! residency. Background merging lives in [`crate::compact`].
 
-use crate::archive::{build_io, read_exact_or_eof, Archive, ReadOutcome};
+use crate::archive::scan_v1;
 use crate::cache::PageCache;
 use crate::codec::{decode_record, encode_record, peek_key, StoreError};
 use crate::crc32::crc32;
 use crate::index::SegmentIndex;
-use crate::io::{check_site, StorageIo, StoreHooks};
+use crate::io::{build_io, check_site, StorageIo, StoreHooks};
 use crate::manifest::{Manifest, SegmentMeta, MANIFEST_TEMP};
-use crate::SyncPolicy;
 use ptm_core::record::{PeriodId, TrafficRecord};
 use ptm_core::LocationId;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -50,13 +49,13 @@ const TRAILER_LEN: u64 = 12;
 /// Replay progress cadence: one structured event per this many records.
 const REPLAY_PROGRESS_EVERY: u64 = 4096;
 
-fn le_u16(bytes: &[u8]) -> u16 {
+pub(crate) fn le_u16(bytes: &[u8]) -> u16 {
     let mut raw = [0u8; 2];
     raw.copy_from_slice(&bytes[..2]);
     u16::from_le_bytes(raw)
 }
 
-fn le_u32(bytes: &[u8]) -> u32 {
+pub(crate) fn le_u32(bytes: &[u8]) -> u32 {
     let mut raw = [0u8; 4];
     raw.copy_from_slice(&bytes[..4]);
     u32::from_le_bytes(raw)
@@ -66,6 +65,34 @@ fn le_u64(bytes: &[u8]) -> u64 {
     let mut raw = [0u8; 8];
     raw.copy_from_slice(&bytes[..8]);
     u64::from_le_bytes(raw)
+}
+
+/// How far [`read_exact_or_eof`] filled its buffer.
+pub(crate) enum ReadOutcome {
+    Full,
+    Partial,
+    Eof,
+}
+
+/// Fills `buf` from `reader`, telling a clean EOF before the first byte
+/// apart from a partial fill (a torn frame).
+pub(crate) fn read_exact_or_eof<R: Read>(
+    reader: &mut R,
+    buf: &mut [u8],
+) -> Result<ReadOutcome, StoreError> {
+    let mut filled = 0usize;
+    while filled < buf.len() {
+        let n = reader.read(&mut buf[filled..])?;
+        if n == 0 {
+            return Ok(if filled == 0 {
+                ReadOutcome::Eof
+            } else {
+                ReadOutcome::Partial
+            });
+        }
+        filled += n;
+    }
+    Ok(ReadOutcome::Full)
 }
 
 /// `seg-<id>.ptms`, zero-padded so lexicographic order is id order.
@@ -79,6 +106,18 @@ pub(crate) fn parse_segment_file_name(name: &str) -> Option<u64> {
         .strip_suffix(".ptms")?
         .parse()
         .ok()
+}
+
+/// When a commit is considered durable.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum SyncPolicy {
+    /// Commits flush to the OS (data survives a process crash, not
+    /// necessarily a power cut). The historical behaviour, and the default.
+    #[default]
+    Flush,
+    /// Every commit also fsyncs; an fsync failure rolls the commit back, so
+    /// an acked batch is on stable storage.
+    Fsync,
 }
 
 /// Tuning knobs for a [`SegmentStore`].
@@ -392,7 +431,7 @@ pub(crate) fn scan_segment(path: &Path, segment_id: u64) -> Result<ScanOutcome, 
         let mut frame_header = [0u8; 8];
         match read_exact_or_eof(&mut reader, &mut frame_header)? {
             ReadOutcome::Eof => break,
-            ReadOutcome::Partial(_) => {
+            ReadOutcome::Partial => {
                 torn_bytes = file_len - offset;
                 break;
             }
@@ -408,7 +447,7 @@ pub(crate) fn scan_segment(path: &Path, segment_id: u64) -> Result<ScanOutcome, 
         let mut payload = vec![0u8; len as usize];
         match read_exact_or_eof(&mut reader, &mut payload)? {
             ReadOutcome::Full => {}
-            ReadOutcome::Eof | ReadOutcome::Partial(_) => {
+            ReadOutcome::Eof | ReadOutcome::Partial => {
                 torn_bytes = file_len - offset;
                 break;
             }
@@ -1139,8 +1178,13 @@ fn migrate_v1(v1_path: &Path, staging: &Path, opts: &StoreOptions) -> Result<u64
     let _s = ptm_obs::tspan!("store.migrate");
     ptm_obs::info!("store.replay", "migrating v1 archive to segments";
         path = v1_path.display().to_string());
-    let recovered = Archive::open(v1_path)?;
-    let total = recovered.records.len() as u64;
+    let scan = scan_v1(v1_path)?;
+    let total = scan.records.len() as u64;
+    if scan.torn_bytes > 0 {
+        ptm_obs::counter!("store.replay.torn_bytes").add(scan.torn_bytes);
+        ptm_obs::warn!("store.replay", "v1 archive has a torn final frame; migrating the intact prefix";
+            torn_bytes = scan.torn_bytes, records = total);
+    }
     let _ = std::fs::remove_dir_all(staging);
     {
         // Plain hooks: migration is a recovery path, and burning chaos
@@ -1151,7 +1195,7 @@ fn migrate_v1(v1_path: &Path, staging: &Path, opts: &StoreOptions) -> Result<u64
         };
         let mut staged = SegmentStore::open(staging, staged_opts)?.store;
         let mut migrated = 0u64;
-        for record in &recovered.records {
+        for record in &scan.records {
             staged.append(record)?;
             migrated += 1;
             if migrated.is_multiple_of(512) {
@@ -1165,7 +1209,6 @@ fn migrate_v1(v1_path: &Path, staging: &Path, opts: &StoreOptions) -> Result<u64
         }
         staged.checkpoint()?;
     }
-    drop(recovered);
     std::fs::remove_file(v1_path)?;
     std::fs::rename(staging, v1_path)?;
     ptm_obs::counter!("store.migrate.records").add(total);
@@ -1519,11 +1562,7 @@ mod tests {
         let dir = temp_dir("migrate");
         let v1_path = dir.clone(); // reuse the unique temp name as the file path
         let records = sample_records(4, 8);
-        {
-            let mut archive = Archive::create(&v1_path).expect("create v1");
-            archive.append_all(&records).expect("fill v1");
-            archive.sync().expect("sync");
-        }
+        crate::archive::write_v1(&v1_path, &records).expect("write v1");
         let opened =
             SegmentStore::open_or_migrate(&v1_path, small_rotate_opts(700)).expect("migrate");
         assert_eq!(opened.migrated_records, 8);
@@ -1547,14 +1586,36 @@ mod tests {
     }
 
     #[test]
+    fn migration_keeps_the_intact_prefix_of_a_torn_v1_file() {
+        let v1_path = temp_dir("migrate-torn");
+        let records = sample_records(7, 4);
+        crate::archive::write_v1(&v1_path, &records).expect("write v1");
+        let len = std::fs::metadata(&v1_path).expect("meta").len();
+        let file = OpenOptions::new().write(true).open(&v1_path).expect("rw");
+        file.set_len(len - 5).expect("tear the final frame");
+        drop(file);
+
+        let opened =
+            SegmentStore::open_or_migrate(&v1_path, StoreOptions::default()).expect("migrate");
+        assert_eq!(opened.migrated_records, 3);
+        let mut store = opened.store;
+        assert!(!store.contains(records[3].location(), records[3].period()));
+        for record in &records[..3] {
+            let got = store
+                .get(record.location(), record.period())
+                .expect("read")
+                .expect("present");
+            assert_eq!(*got, *record);
+        }
+        std::fs::remove_dir_all(&v1_path).ok();
+    }
+
+    #[test]
     fn interrupted_migration_rename_is_completed() {
         let dir = temp_dir("migrate-crash");
         let v1_path = dir.clone();
         let records = sample_records(6, 3);
-        {
-            let mut archive = Archive::create(&v1_path).expect("create v1");
-            archive.append_all(&records).expect("fill");
-        }
+        crate::archive::write_v1(&v1_path, &records).expect("write v1");
         // Run the migration, then simulate the crash window: the staging
         // dir is complete but the rename never happened.
         let staging = migration_staging_path(&v1_path);
@@ -1597,6 +1658,113 @@ mod tests {
         let opened = SegmentStore::open(&dir, StoreOptions::default()).expect("reopen");
         assert_eq!(opened.torn_bytes, 0);
         assert_eq!(opened.store.record_count(), 3);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn fsync_failure_rolls_back_under_fsync_policy() {
+        let dir = temp_dir("fsync-rollback");
+        let plan = FaultPlan::builder(12)
+            .rule(
+                sites::STORE_SYNC,
+                Rule::nth(1, FaultAction::Error(ErrorKind::Other)),
+            )
+            .build()
+            .expect("plan");
+        let opts = StoreOptions {
+            hooks: StoreHooks::from_plan(&plan),
+            sync_policy: SyncPolicy::Fsync,
+            ..StoreOptions::default()
+        };
+        let records = sample_records(3, 2);
+        let mut store = SegmentStore::open(&dir, opts).expect("open").store;
+        assert_eq!(store.sync_policy(), SyncPolicy::Fsync);
+
+        store
+            .append_all(&records)
+            .expect_err("failed fsync must fail the commit");
+        assert_eq!(store.record_count(), 0, "nothing counted past the failure");
+        assert_eq!(store.active_bytes(), HEADER_LEN);
+        let active_len = std::fs::metadata(&store.active.path).expect("meta").len();
+        assert_eq!(
+            active_len, HEADER_LEN,
+            "the unsynced batch was truncated away"
+        );
+        assert!(!store.is_wedged());
+
+        assert_eq!(store.append_all(&records).expect("retry syncs"), 2);
+        drop(store);
+        let opened = SegmentStore::open(&dir, StoreOptions::default()).expect("reopen");
+        assert_eq!(opened.torn_bytes, 0);
+        assert_eq!(opened.store.record_count(), 2, "each record exactly once");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn failed_rollback_wedges_store_until_reopen() {
+        let dir = temp_dir("wedged");
+        // The first commit lands; the second short-writes 4 bytes, then
+        // fails, and the rollback truncate fails too.
+        let plan = FaultPlan::builder(13)
+            .rule(sites::STORE_WRITE, Rule::nth(2, FaultAction::Short(4)))
+            .rule(
+                sites::STORE_WRITE,
+                Rule::nth(3, FaultAction::Error(ErrorKind::StorageFull)),
+            )
+            .rule(
+                sites::STORE_SET_LEN,
+                Rule::nth(1, FaultAction::Error(ErrorKind::Other)),
+            )
+            .build()
+            .expect("plan");
+        let opts = StoreOptions {
+            hooks: StoreHooks::from_plan(&plan),
+            ..StoreOptions::default()
+        };
+        let records = sample_records(5, 3);
+        let mut store = SegmentStore::open(&dir, opts).expect("open").store;
+        store
+            .append_all(&records[..1])
+            .expect("first batch commits");
+
+        store.append_all(&records[1..]).expect_err("commit fails");
+        assert!(store.is_wedged(), "failed truncate must wedge the store");
+        assert!(matches!(store.append(&records[2]), Err(StoreError::Wedged)));
+        assert!(matches!(
+            store.append_all(&records),
+            Err(StoreError::Wedged)
+        ));
+        assert!(matches!(store.flush(), Err(StoreError::Wedged)));
+        assert_eq!(store.record_count(), 1);
+        let got = store
+            .get(records[0].location(), records[0].period())
+            .expect("reads still served")
+            .expect("present");
+        assert_eq!(*got, records[0]);
+        drop(store);
+
+        // Reopen drops the 4-byte garbage tail as torn; the committed
+        // record survives and appends work again.
+        let opened = SegmentStore::open(&dir, StoreOptions::default()).expect("reopen");
+        assert_eq!(opened.torn_bytes, 4);
+        let mut store = opened.store;
+        assert!(!store.is_wedged());
+        assert_eq!(store.record_count(), 1);
+        assert_eq!(
+            store.append_all(&records[1..]).expect("appends work again"),
+            2
+        );
+        drop(store);
+        let opened = SegmentStore::open(&dir, StoreOptions::default()).expect("reopen");
+        assert_eq!(opened.torn_bytes, 0);
+        let mut store = opened.store;
+        for record in &records {
+            let got = store
+                .get(record.location(), record.period())
+                .expect("read")
+                .expect("present");
+            assert_eq!(*got, *record);
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -14,8 +14,7 @@
 #   trace/ingest_traced              loopback upload, full span tree on
 #
 # Second file (the storage-engine-v2 cold-start and read-path numbers):
-#   store/v1_open_100k               v1 full replay of a 100k-record archive
-#   store/v2_open_100k               v2 manifest+index open, same records
+#   store/v2_open_100k               v2 manifest+index open, 100k records
 #   store/read_hit                   historical read served by the page cache
 #   store/read_miss                  historical read walking index + disk
 #
@@ -93,8 +92,7 @@ cargo bench -p ptm-bench --bench storage | tee -a "$store_raw"
 awk -v out="$store_out" '
 /^bench: / { median[$2] = $4 }
 END {
-    n = split("store/v1_open_100k store/v2_open_100k " \
-              "store/read_hit store/read_miss", keys, " ")
+    n = split("store/v2_open_100k store/read_hit store/read_miss", keys, " ")
     printf "{\n  \"units\": \"median_ns_per_iter\"" > out
     for (i = 1; i <= n; i++) {
         if (!(keys[i] in median)) {

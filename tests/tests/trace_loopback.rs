@@ -309,7 +309,8 @@ fn untraced_clients_still_get_local_server_traces() {
     let server =
         RpcServer::start("127.0.0.1:0", &archive, ServerConfig::default()).expect("daemon starts");
 
-    // A raw v1 frame: no flags byte, no trace context on the wire.
+    // A raw untraced ping: version 3, tag 1, flags 0 — no trace context
+    // on the wire.
     {
         use ptm_rpc::frame::{read_frame, write_frame};
         use ptm_rpc::DEFAULT_MAX_FRAME_LEN;
@@ -318,8 +319,14 @@ fn untraced_clients_still_get_local_server_traces() {
         stream
             .set_read_timeout(Some(Duration::from_secs(5)))
             .expect("timeout");
-        write_frame(&mut stream, &[1u8, 1u8]).expect("send v1 ping");
-        read_frame(&mut stream, DEFAULT_MAX_FRAME_LEN).expect("pong frame");
+        write_frame(&mut stream, &[3u8, 1u8, 0u8]).expect("send untraced ping");
+        match read_frame(&mut stream, DEFAULT_MAX_FRAME_LEN).expect("pong frame") {
+            ptm_rpc::ReadOutcome::Frame(bytes) => assert!(matches!(
+                ptm_rpc::proto::decode_response(&bytes),
+                Ok(ptm_rpc::Response::Pong { .. })
+            )),
+            other => panic!("expected a pong frame, got {other:?}"),
+        }
     }
 
     server.shutdown().expect("clean shutdown");
@@ -331,7 +338,7 @@ fn untraced_clients_still_get_local_server_traces() {
     let dispatch = spans
         .iter()
         .find(|s| s.name == "rpc.server.dispatch")
-        .expect("v1 request still dispatched under a span");
+        .expect("untraced request still dispatched under a span");
     assert!(
         dispatch.parent.is_none(),
         "headerless request gets a locally minted root trace: {dispatch:?}"
