@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use ptm_core::bitmap::Bitmap;
 use ptm_core::encoding::{EncodingScheme, LocationId, VehicleSecrets};
-use ptm_core::join::and_join;
+use ptm_core::join::{and_join, join_counts, JoinOp};
 use ptm_core::params::BitmapSize;
 use ptm_core::record::PeriodId;
 use ptm_crypto::hmac::hmac_sha256;
@@ -45,18 +45,25 @@ fn bench_bitmap(c: &mut Criterion) {
         };
         bch.iter(|| small.expand_to(m).expect("power of two"))
     });
+    let maps: Vec<Bitmap> = (0..10)
+        .map(|i| {
+            let len = 1 << (16 + (i % 3));
+            let mut bmp = Bitmap::new(len);
+            for _ in 0..len / 2 {
+                bmp.set(rng.gen_range(0..len));
+            }
+            bmp
+        })
+        .collect();
     group.bench_function("and_join_10_mixed_sizes", |bch| {
-        let maps: Vec<Bitmap> = (0..10)
-            .map(|i| {
-                let len = 1 << (16 + (i % 3));
-                let mut bmp = Bitmap::new(len);
-                for _ in 0..len / 2 {
-                    bmp.set(rng.gen_range(0..len));
-                }
-                bmp
-            })
-            .collect();
         bch.iter(|| and_join(maps.iter()).expect("powers of two"))
+    });
+    // The fused kernel a point query runs on the same ten maps: both
+    // halves' AND-joins and their AND, counted in one pass, no output map.
+    group.bench_function("point_counts_10_mixed_sizes", |bch| {
+        let maps: Vec<&Bitmap> = maps.iter().collect();
+        let (half_a, half_b) = maps.split_at(5);
+        bch.iter(|| join_counts(half_a, half_b, JoinOp::And).expect("powers of two"))
     });
     group.finish();
 }

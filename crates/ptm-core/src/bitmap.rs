@@ -1,11 +1,25 @@
 //! Word-packed bit vectors with the join operations the estimators need:
 //! bitwise AND/OR of equal-length maps and power-of-two
 //! replication-expansion (paper Sec. III-A).
+//!
+//! The joins never materialise an expanded copy: word `i` of a map of
+//! `n` words replicated to any larger power of two is `words[i mod n]`, so
+//! the chunked kernels here read each source's *replicated view* straight
+//! out of its own words (see [`crate::join`]).
 
 use crate::error::EstimateError;
 use serde::{Deserialize, Serialize};
 
 const WORD_BITS: usize = 64;
+
+/// Words per chunk of the fused replicate-join kernels: a 2 KiB stack
+/// accumulator, small enough that a join's working set stays in L1.
+pub(crate) const CHUNK_WORDS: usize = 256;
+
+/// Number of one bits in a run of words.
+pub(crate) fn popcount(words: &[u64]) -> usize {
+    words.iter().map(|w| w.count_ones() as usize).sum()
+}
 
 /// A fixed-length bit vector.
 ///
@@ -80,7 +94,7 @@ impl Bitmap {
 
     /// Number of one bits.
     pub fn count_ones(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
+        popcount(&self.words)
     }
 
     /// Number of zero bits.
@@ -193,6 +207,60 @@ impl Bitmap {
             }
         }
         Ok(expanded)
+    }
+
+    /// Applies `f(acc[j], view[start + j])` over a run of words, where
+    /// `view` is this bitmap replicated to `target` bits.
+    ///
+    /// Callers guarantee both lengths are powers of two with
+    /// `len <= target`, and that the run is one [`CHUNK_WORDS`]-aligned
+    /// chunk of the view, so the source side is one contiguous slice or
+    /// whole repeats of the map.
+    pub(crate) fn replicated_apply(
+        &self,
+        acc: &mut [u64],
+        start: usize,
+        target: usize,
+        f: impl Fn(&mut u64, u64),
+    ) {
+        debug_assert!(self.len.is_power_of_two() && target.is_power_of_two());
+        debug_assert!(self.len <= target && start + acc.len() <= target.div_ceil(WORD_BITS));
+        if self.len < WORD_BITS {
+            let tile = self.tile(target);
+            acc.iter_mut().for_each(|word| f(word, tile));
+            return;
+        }
+        let n = self.words.len();
+        if n >= acc.len() {
+            let offset = start % n;
+            let src_words = &self.words[offset..offset + acc.len()];
+            for (word, &src) in acc.iter_mut().zip(src_words) {
+                f(word, src);
+            }
+        } else {
+            debug_assert!(start.is_multiple_of(n) && acc.len().is_multiple_of(n));
+            for repeat in acc.chunks_exact_mut(n) {
+                for (word, &src) in repeat.iter_mut().zip(&self.words) {
+                    f(word, src);
+                }
+            }
+        }
+    }
+
+    /// Rewrites the words one [`CHUNK_WORDS`]-aligned chunk at a time,
+    /// calling `f(chunk, first_word_index)`.
+    pub(crate) fn fill_chunks(&mut self, mut f: impl FnMut(&mut [u64], usize)) {
+        for (i, chunk) in self.words.chunks_mut(CHUNK_WORDS).enumerate() {
+            f(chunk, i * CHUNK_WORDS);
+        }
+    }
+
+    /// The word a sub-word map (`len < 64`) replicates into: the pattern
+    /// repeated to fill 64 bits, or only `target` bits when `target < 64`.
+    fn tile(&self, target: usize) -> u64 {
+        let pattern = self.words[0] & mask_low_bits(self.len);
+        let copies = (WORD_BITS / self.len).min(target / self.len);
+        (0..copies).fold(0u64, |tile, k| tile | pattern << (k * self.len))
     }
 
     /// Packs the bitmap into `ceil(len/8)` little-endian bytes (bit `i` is

@@ -1,7 +1,14 @@
-//! Joining traffic records: expansion to a common size followed by bitwise
-//! AND (Sec. III-A) or OR (Sec. IV-A second level).
+//! Joining traffic records: replication to a common size followed by
+//! bitwise AND (Sec. III-A) or OR (Sec. IV-A second level).
+//!
+//! Every join here is *fused*: sources are read through their replicated
+//! view (word `i` of a map of `n` words replicated to a larger power of
+//! two is `words[i mod n]`) one [`CHUNK_WORDS`]-word chunk at a time, so
+//! no expanded copy is ever built. The estimators only need one-counts,
+//! which [`join_counts`] takes in the same pass over two small stack
+//! accumulators; [`and_join`] / [`or_join`] allocate only their output.
 
-use crate::bitmap::Bitmap;
+use crate::bitmap::{popcount, Bitmap, CHUNK_WORDS};
 use crate::error::EstimateError;
 use crate::record::TrafficRecord;
 
@@ -34,7 +41,36 @@ impl SplitStrategy {
     }
 }
 
-/// AND-joins bitmaps after expanding each to the largest size present.
+/// The bitwise operation of one join level.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum JoinOp {
+    /// Intersection: the AND-join of Sec. III-A.
+    And,
+    /// Union: the second-level OR-join of Sec. IV-A.
+    Or,
+}
+
+impl JoinOp {
+    /// Combines `map`'s replicated view (words `start..start + acc.len()`
+    /// of it at `target` bits) into `acc`.
+    fn combine_replicated(self, acc: &mut [u64], map: &Bitmap, start: usize, target: usize) {
+        match self {
+            Self::And => map.replicated_apply(acc, start, target, |word, src| *word &= src),
+            Self::Or => map.replicated_apply(acc, start, target, |word, src| *word |= src),
+        }
+    }
+
+    /// Combines equal-length word runs: `acc[j] op= src[j]`.
+    fn combine_words(self, acc: &mut [u64], src: &[u64]) {
+        let pairs = acc.iter_mut().zip(src);
+        match self {
+            Self::And => pairs.for_each(|(word, &s)| *word &= s),
+            Self::Or => pairs.for_each(|(word, &s)| *word |= s),
+        }
+    }
+}
+
+/// AND-joins bitmaps after replicating each to the largest size present.
 ///
 /// # Errors
 ///
@@ -45,11 +81,10 @@ pub fn and_join<'a, I>(bitmaps: I) -> Result<Bitmap, EstimateError>
 where
     I: IntoIterator<Item = &'a Bitmap>,
 {
-    ptm_obs::counter!("core.join.and.ops").inc();
-    join_with(bitmaps, Bitmap::and_assign)
+    join_with(bitmaps, JoinOp::And)
 }
 
-/// OR-joins bitmaps after expanding each to the largest size present.
+/// OR-joins bitmaps after replicating each to the largest size present.
 ///
 /// # Errors
 ///
@@ -58,30 +93,52 @@ pub fn or_join<'a, I>(bitmaps: I) -> Result<Bitmap, EstimateError>
 where
     I: IntoIterator<Item = &'a Bitmap>,
 {
-    ptm_obs::counter!("core.join.or.ops").inc();
-    join_with(bitmaps, Bitmap::or_assign)
+    join_with(bitmaps, JoinOp::Or)
 }
 
-fn join_with<'a, I, F>(bitmaps: I, mut combine: F) -> Result<Bitmap, EstimateError>
+fn join_with<'a, I>(bitmaps: I, op: JoinOp) -> Result<Bitmap, EstimateError>
 where
     I: IntoIterator<Item = &'a Bitmap>,
-    F: FnMut(&mut Bitmap, &Bitmap) -> Result<(), EstimateError>,
 {
-    let _t = ptm_obs::span!("core.join");
     let maps: Vec<&Bitmap> = bitmaps.into_iter().collect();
+    let target = record_join(op, &maps)?;
+    let _t = ptm_obs::span!("core.join");
+    let mut joined = Bitmap::new(target);
+    joined.fill_chunks(|chunk, start| {
+        maps[0].replicated_apply(chunk, start, target, |word, src| *word = src);
+        for map in &maps[1..] {
+            op.combine_replicated(chunk, map, start, target);
+        }
+    });
+    Ok(joined)
+}
+
+/// Checks one join's inputs and returns its size (the largest length).
+fn join_size(maps: &[&Bitmap]) -> Result<usize, EstimateError> {
     if maps.is_empty() {
         return Err(EstimateError::NoRecords);
     }
     let mut target = 0usize;
-    for map in &maps {
+    for map in maps {
         if !map.is_power_of_two() {
             return Err(EstimateError::NotPowerOfTwo { len: map.len() });
         }
         target = target.max(map.len());
     }
+    Ok(target)
+}
+
+/// [`join_size`] for one logical join, recording the `core.join.*`
+/// counters and histograms for it.
+pub(crate) fn record_join(op: JoinOp, maps: &[&Bitmap]) -> Result<usize, EstimateError> {
+    match op {
+        JoinOp::And => ptm_obs::counter!("core.join.and.ops").inc(),
+        JoinOp::Or => ptm_obs::counter!("core.join.or.ops").inc(),
+    }
+    let target = join_size(maps)?;
     if ptm_obs::metrics_enabled() {
         ptm_obs::histogram!("core.join.fan_in").record(maps.len() as u64);
-        for map in &maps {
+        for map in maps {
             let factor = (target / map.len()) as u64;
             ptm_obs::histogram!("core.join.expansion_factor").record(factor);
             if factor > 1 {
@@ -89,12 +146,108 @@ where
             }
         }
     }
-    let mut joined = maps[0].expand_to(target)?;
-    for map in &maps[1..] {
-        let expanded = map.expand_to(target)?;
-        combine(&mut joined, &expanded)?;
+    Ok(target)
+}
+
+/// One-counts of a two-level replicate-join, every one taken over the
+/// common size `m` (the largest input length).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct JoinCounts {
+    /// The common size the counts are taken over.
+    pub m: usize,
+    /// One bits of `E_a`, the AND-join of the first group, replicated to `m`.
+    pub ones_a: usize,
+    /// One bits of `E_b`, the AND-join of the second group, replicated to `m`.
+    pub ones_b: usize,
+    /// One bits of `E_a op E_b` at `m`.
+    pub ones_joined: usize,
+}
+
+/// AND-joins `a` into `E_a` and `b` into `E_b`, combines the two with
+/// `outer`, and counts the ones of all three over the common size — one
+/// fused pass, no expanded copy. Each group is recorded as one AND-join.
+///
+/// # Errors
+///
+/// The [`and_join`] conditions, checked for `a` and then `b`.
+pub fn join_counts(
+    a: &[&Bitmap],
+    b: &[&Bitmap],
+    outer: JoinOp,
+) -> Result<JoinCounts, EstimateError> {
+    record_join(JoinOp::And, a)?;
+    record_join(JoinOp::And, b)?;
+    Ok(fused_pair(a, b, outer))
+}
+
+/// [`join_counts`] of two already-joined maps: only the second level, so
+/// no join is recorded.
+///
+/// # Errors
+///
+/// [`EstimateError::NotPowerOfTwo`] for the first of `a`, `b` whose length
+/// is not a power of two.
+pub(crate) fn combine_counts(
+    a: &Bitmap,
+    b: &Bitmap,
+    outer: JoinOp,
+) -> Result<JoinCounts, EstimateError> {
+    join_size(&[a])?;
+    join_size(&[b])?;
+    Ok(fused_pair(&[a], &[b], outer))
+}
+
+/// [`fused_counts`] of two validated groups.
+pub(crate) fn fused_pair(a: &[&Bitmap], b: &[&Bitmap], outer: JoinOp) -> JoinCounts {
+    let mut ones = [0usize; 2];
+    let (m, ones_joined) = fused_counts(&[a, b], outer, &mut ones);
+    JoinCounts {
+        m,
+        ones_a: ones[0],
+        ones_b: ones[1],
+        ones_joined,
     }
-    Ok(joined)
+}
+
+/// The fused kernel. Over the common size `m` of all (validated, non-empty)
+/// `groups`, AND-joins each group's replicated views chunk by chunk,
+/// adds each group join's ones to `ones[g]`, and combines the group joins
+/// with `outer`. Returns `m` and the ones of the combination.
+pub(crate) fn fused_counts(
+    groups: &[&[&Bitmap]],
+    outer: JoinOp,
+    ones: &mut [usize],
+) -> (usize, usize) {
+    let _t = ptm_obs::span!("core.join");
+    debug_assert_eq!(groups.len(), ones.len());
+    ones.fill(0);
+    let target = groups
+        .iter()
+        .flat_map(|group| group.iter().map(|map| map.len()))
+        .max()
+        .expect("validated groups are non-empty");
+    let words = target.div_ceil(64);
+    let mut group_acc = [0u64; CHUNK_WORDS];
+    let mut outer_acc = [0u64; CHUNK_WORDS];
+    let mut outer_ones = 0usize;
+    for start in (0..words).step_by(CHUNK_WORDS) {
+        let len = CHUNK_WORDS.min(words - start);
+        let (acc, out) = (&mut group_acc[..len], &mut outer_acc[..len]);
+        for (g, group) in groups.iter().enumerate() {
+            group[0].replicated_apply(acc, start, target, |word, src| *word = src);
+            for map in &group[1..] {
+                JoinOp::And.combine_replicated(acc, map, start, target);
+            }
+            ones[g] += popcount(acc);
+            if g == 0 {
+                out.copy_from_slice(acc);
+            } else {
+                outer.combine_words(out, acc);
+            }
+        }
+        outer_ones += popcount(out);
+    }
+    (target, outer_ones)
 }
 
 /// AND-joins the bitmaps of a record set from a single location, checking
@@ -108,11 +261,23 @@ pub fn and_join_records(records: &[TrafficRecord]) -> Result<Bitmap, EstimateErr
     if records.is_empty() {
         return Err(EstimateError::NoRecords);
     }
-    let location = records[0].location();
-    if records.iter().any(|r| r.location() != location) {
-        return Err(EstimateError::LocationMismatch);
+    and_join(single_location_bitmaps(records)?)
+}
+
+/// The bitmaps of `records`, checked to come from a single location.
+///
+/// # Errors
+///
+/// [`EstimateError::LocationMismatch`] if locations differ.
+pub(crate) fn single_location_bitmaps(
+    records: &[TrafficRecord],
+) -> Result<Vec<&Bitmap>, EstimateError> {
+    if let Some(first) = records.first() {
+        if records.iter().any(|r| r.location() != first.location()) {
+            return Err(EstimateError::LocationMismatch);
+        }
     }
-    and_join(records.iter().map(TrafficRecord::bitmap))
+    Ok(records.iter().map(TrafficRecord::bitmap).collect())
 }
 
 #[cfg(test)]

@@ -36,7 +36,7 @@
 
 use crate::bitmap::Bitmap;
 use crate::error::EstimateError;
-use crate::join::and_join;
+use crate::join::{self, JoinOp};
 use crate::record::TrafficRecord;
 
 /// The k-way point persistent estimator.
@@ -78,12 +78,7 @@ impl KwayEstimator {
                 actual: records.len(),
             });
         }
-        let location = records[0].location();
-        if records.iter().any(|r| r.location() != location) {
-            return Err(EstimateError::LocationMismatch);
-        }
-        let bitmaps: Vec<&Bitmap> = records.iter().map(TrafficRecord::bitmap).collect();
-        self.estimate_bitmaps(&bitmaps)
+        self.estimate_bitmaps(&join::single_location_bitmaps(records)?)
     }
 
     /// Bitmap-level variant without metadata checks.
@@ -101,28 +96,21 @@ impl KwayEstimator {
                 actual: bitmaps.len(),
             });
         }
-        // Round-robin grouping, then AND-join each group.
+        // Round-robin grouping; each group is one AND-join, and the fused
+        // pass counts every group join and their AND `E_*` at the common
+        // size without building any of them.
         let mut groups: Vec<Vec<&Bitmap>> = vec![Vec::new(); self.k];
         for (i, &bm) in bitmaps.iter().enumerate() {
             groups[i % self.k].push(bm);
         }
-        let joins: Vec<Bitmap> = groups
-            .iter()
-            .map(|group| and_join(group.iter().copied()))
-            .collect::<Result<_, _>>()?;
-
-        // Expand all group joins to the common size and AND them into E*.
-        let m = joins.iter().map(Bitmap::len).max().expect("k >= 2 groups");
-        let expanded: Vec<Bitmap> = joins
-            .iter()
-            .map(|j| j.expand_to(m))
-            .collect::<Result<_, _>>()?;
-        let mut e_star = expanded[0].clone();
-        for e in &expanded[1..] {
-            e_star.and_assign(e)?;
+        for group in &groups {
+            join::record_join(JoinOp::And, group)?;
         }
+        let group_refs: Vec<&[&Bitmap]> = groups.iter().map(Vec::as_slice).collect();
+        let mut ones = vec![0usize; self.k];
+        let (m, ones_star) = join::fused_counts(&group_refs, JoinOp::And, &mut ones);
 
-        let v0: Vec<f64> = expanded.iter().map(Bitmap::fraction_zeros).collect();
+        let v0: Vec<f64> = ones.iter().map(|&o| (m - o) as f64 / m as f64).collect();
         for (i, &v) in v0.iter().enumerate() {
             if v <= 0.0 {
                 let which: &'static str = match i {
@@ -133,7 +121,7 @@ impl KwayEstimator {
                 return Err(EstimateError::Saturated { which });
             }
         }
-        let v_star1 = e_star.fraction_ones();
+        let v_star1 = ones_star as f64 / m as f64;
 
         let q = 1.0 - 1.0 / m as f64;
         // Abstract per-group cardinalities n_i = ln V_i,0 / ln q.

@@ -17,7 +17,7 @@
 
 use crate::bitmap::Bitmap;
 use crate::error::EstimateError;
-use crate::join::and_join_records;
+use crate::join::{self, JoinCounts, JoinOp};
 use crate::record::TrafficRecord;
 
 /// Which algebraic form of the estimator to apply.
@@ -75,18 +75,38 @@ impl PointToPointEstimator {
         records_l: &[TrafficRecord],
         records_lp: &[TrafficRecord],
     ) -> Result<f64, EstimateError> {
-        if records_l.is_empty() || records_lp.is_empty() {
-            return Err(EstimateError::NoRecords);
-        }
-        if records_l.len() != records_lp.len() {
-            return Err(EstimateError::PeriodMismatch {
-                left: records_l.len(),
-                right: records_lp.len(),
-            });
-        }
-        let e_star = and_join_records(records_l)?;
-        let e_star_prime = and_join_records(records_lp)?;
-        self.estimate_joined(&e_star, &e_star_prime)
+        check_periods(records_l.len(), records_lp.len())?;
+        self.estimate_bitmaps(
+            &join::single_location_bitmaps(records_l)?,
+            &join::single_location_bitmaps(records_lp)?,
+        )
+    }
+
+    /// [`PointToPointEstimator::estimate`] over the two locations' bitmaps
+    /// without the location checks: both levels of the join in one fused
+    /// pass over `m'`, no expanded copy.
+    ///
+    /// # Errors
+    ///
+    /// As [`PointToPointEstimator::estimate`] minus
+    /// [`EstimateError::LocationMismatch`].
+    pub fn estimate_bitmaps(
+        &self,
+        bitmaps_l: &[&Bitmap],
+        bitmaps_lp: &[&Bitmap],
+    ) -> Result<f64, EstimateError> {
+        check_periods(bitmaps_l.len(), bitmaps_lp.len())?;
+        let m_l = join::record_join(JoinOp::And, bitmaps_l)?;
+        let m_lp = join::record_join(JoinOp::And, bitmaps_lp)?;
+        let _t = ptm_obs::span!("core.p2p.estimate");
+        ptm_obs::counter!("core.p2p.ops").inc();
+        // W.l.o.g. the smaller join `E_*` comes first (the paper's m <= m').
+        let (small, large) = if m_l <= m_lp {
+            (bitmaps_l, bitmaps_lp)
+        } else {
+            (bitmaps_lp, bitmaps_l)
+        };
+        self.eq21(join::fused_pair(small, large, JoinOp::Or))
     }
 
     /// Applies the estimator to already AND-joined per-location maps.
@@ -102,28 +122,40 @@ impl PointToPointEstimator {
     ) -> Result<f64, EstimateError> {
         let _t = ptm_obs::span!("core.p2p.estimate");
         ptm_obs::counter!("core.p2p.ops").inc();
-        // W.l.o.g. the second map is the larger one (the paper's m <= m').
         let (small, large) = if e_star.len() <= e_star_prime.len() {
             (e_star, e_star_prime)
         } else {
             (e_star_prime, e_star)
         };
-        let m_prime = large.len();
+        // A saturated map is reported before a size that cannot replicate.
+        if small.count_zeros() == 0 {
+            return Err(EstimateError::Saturated { which: "E_*" });
+        }
+        if large.count_zeros() == 0 {
+            return Err(EstimateError::Saturated { which: "E'_*" });
+        }
+        self.eq21(join::combine_counts(small, large, JoinOp::Or)?)
+    }
 
-        let v0_small = small.fraction_zeros();
-        let v0_large = large.fraction_zeros();
+    /// Eq. (21) (or the exact form) over the one-counts of the smaller
+    /// join `E_*` (`ones_a`, replicated), the larger `E'_*` (`ones_b`) and
+    /// `E''_*` (`ones_joined`), all at `m'`.
+    ///
+    /// `E_*`'s zero fraction over its replication to `m' = k·m` is
+    /// `(m' − k·ones)/m'`, the same exact rational as `(m − ones)/m`, so
+    /// the correctly rounded quotient is the same f64.
+    fn eq21(&self, counts: JoinCounts) -> Result<f64, EstimateError> {
+        let m_prime = counts.m;
+        let fraction_zeros = |ones: usize| (m_prime - ones) as f64 / m_prime as f64;
+        let v0_small = fraction_zeros(counts.ones_a);
+        let v0_large = fraction_zeros(counts.ones_b);
         if v0_small <= 0.0 {
             return Err(EstimateError::Saturated { which: "E_*" });
         }
         if v0_large <= 0.0 {
             return Err(EstimateError::Saturated { which: "E'_*" });
         }
-
-        // Second-level expansion and OR-join.
-        let s_star = small.expand_to(m_prime)?;
-        let mut e_double = s_star;
-        e_double.or_assign(large)?;
-        let v0_double = e_double.fraction_zeros();
+        let v0_double = fraction_zeros(counts.ones_joined);
         if v0_double <= 0.0 {
             return Err(EstimateError::Saturated { which: "E''_*" });
         }
@@ -136,6 +168,17 @@ impl PointToPointEstimator {
             P2pForm::Exact => log_ratio / (1.0 + 1.0 / (s * m - s)).ln(),
         })
     }
+}
+
+/// Both locations must have records, for the same number of periods.
+fn check_periods(left: usize, right: usize) -> Result<(), EstimateError> {
+    if left == 0 || right == 0 {
+        return Err(EstimateError::NoRecords);
+    }
+    if left != right {
+        return Err(EstimateError::PeriodMismatch { left, right });
+    }
+    Ok(())
 }
 
 #[cfg(test)]

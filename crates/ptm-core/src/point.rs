@@ -15,7 +15,7 @@
 
 use crate::bitmap::Bitmap;
 use crate::error::EstimateError;
-use crate::join::{and_join, SplitStrategy};
+use crate::join::{self, JoinCounts, JoinOp, SplitStrategy};
 use crate::record::TrafficRecord;
 
 /// The proposed point persistent estimator (Eq. 12).
@@ -50,22 +50,7 @@ impl PointEstimator {
     ///   `V_*,1 + V_a,0 + V_b,0 > 1`, which happens with tiny bitmaps when
     ///   sampling noise dominates; larger `m` (higher `f`) avoids it.
     pub fn estimate(&self, records: &[TrafficRecord]) -> Result<f64, EstimateError> {
-        if records.len() < 2 {
-            return Err(EstimateError::TooFewRecords {
-                required: 2,
-                actual: records.len(),
-            });
-        }
-        let location = records[0].location();
-        if records.iter().any(|r| r.location() != location) {
-            return Err(EstimateError::LocationMismatch);
-        }
-        self.estimate_bitmaps(
-            &records
-                .iter()
-                .map(TrafficRecord::bitmap)
-                .collect::<Vec<_>>(),
-        )
+        self.estimate_bitmaps(&point_bitmaps(records)?)
     }
 
     /// Estimates directly from bitmaps (no metadata checks); the building
@@ -78,6 +63,25 @@ impl PointEstimator {
     pub fn estimate_bitmaps(&self, bitmaps: &[&Bitmap]) -> Result<f64, EstimateError> {
         let _t = ptm_obs::span!("core.point.estimate");
         ptm_obs::counter!("core.point.ops").inc();
+        let counts = self.halves_counts(bitmaps)?;
+        Ok(eq12(counts)?.value)
+    }
+
+    /// [`PointEstimator::estimate`] with a propagated standard error.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`PointEstimator::estimate`].
+    pub fn estimate_with_error(
+        &self,
+        records: &[TrafficRecord],
+    ) -> Result<EstimateWithError, EstimateError> {
+        eq12(self.halves_counts(&point_bitmaps(records)?)?)
+    }
+
+    /// Splits the bitmaps and counts `E_a`, `E_b` and `E_*` in one fused
+    /// pass.
+    fn halves_counts(&self, bitmaps: &[&Bitmap]) -> Result<JoinCounts, EstimateError> {
         if bitmaps.len() < 2 {
             return Err(EstimateError::TooFewRecords {
                 required: 2,
@@ -85,10 +89,20 @@ impl PointEstimator {
             });
         }
         let (idx_a, idx_b) = self.split.split(bitmaps.len());
-        let e_a = and_join(idx_a.iter().map(|&i| bitmaps[i]))?;
-        let e_b = and_join(idx_b.iter().map(|&i| bitmaps[i]))?;
-        estimate_from_halves(&e_a, &e_b)
+        let pick = |idx: Vec<usize>| idx.into_iter().map(|i| bitmaps[i]).collect::<Vec<_>>();
+        join::join_counts(&pick(idx_a), &pick(idx_b), JoinOp::And)
     }
+}
+
+/// The bitmaps of at least two records from one location.
+fn point_bitmaps(records: &[TrafficRecord]) -> Result<Vec<&Bitmap>, EstimateError> {
+    if records.len() < 2 {
+        return Err(EstimateError::TooFewRecords {
+            required: 2,
+            actual: records.len(),
+        });
+    }
+    join::single_location_bitmaps(records)
 }
 
 /// Applies Eq. (12) to the two AND-joined halves.
@@ -97,29 +111,7 @@ impl PointEstimator {
 ///
 /// See [`PointEstimator::estimate`].
 pub fn estimate_from_halves(e_a: &Bitmap, e_b: &Bitmap) -> Result<f64, EstimateError> {
-    // The halves may differ in size when the original records did; expand
-    // to the common size before the final AND.
-    let m = e_a.len().max(e_b.len());
-    let e_a = e_a.expand_to(m)?;
-    let e_b = e_b.expand_to(m)?;
-    let mut e_star = e_a.clone();
-    e_star.and_assign(&e_b)?;
-
-    let v_a0 = e_a.fraction_zeros();
-    let v_b0 = e_b.fraction_zeros();
-    let v_star1 = e_star.fraction_ones();
-    if v_a0 <= 0.0 {
-        return Err(EstimateError::Saturated { which: "E_a" });
-    }
-    if v_b0 <= 0.0 {
-        return Err(EstimateError::Saturated { which: "E_b" });
-    }
-    let arg = v_star1 + v_a0 + v_b0 - 1.0;
-    if arg <= 0.0 {
-        return Err(EstimateError::Degenerate);
-    }
-    let denom = (1.0 - 1.0 / m as f64).ln();
-    Ok((v_a0.ln() + v_b0.ln() - arg.ln()) / denom)
+    Ok(estimate_from_halves_with_error(e_a, e_b)?.value)
 }
 
 /// A point estimate together with its delta-method standard error.
@@ -161,15 +153,24 @@ pub fn estimate_from_halves_with_error(
     e_a: &Bitmap,
     e_b: &Bitmap,
 ) -> Result<EstimateWithError, EstimateError> {
-    let m = e_a.len().max(e_b.len());
-    let e_a = e_a.expand_to(m)?;
-    let e_b = e_b.expand_to(m)?;
-    let mut e_star = e_a.clone();
-    e_star.and_assign(&e_b)?;
+    // The halves may differ in size when the original records did; the
+    // final AND reads the smaller one replicated to the common size.
+    eq12(join::combine_counts(e_a, e_b, JoinOp::And)?)
+}
 
-    let v_a0 = e_a.fraction_zeros();
-    let v_b0 = e_b.fraction_zeros();
-    let v_star1 = e_star.fraction_ones();
+/// Eq. (12) and its delta-method error over the one-counts of `E_a`, `E_b`
+/// and `E_* = E_a ∧ E_b`, all at the common size `m`.
+fn eq12(counts: JoinCounts) -> Result<EstimateWithError, EstimateError> {
+    let JoinCounts {
+        m,
+        ones_a,
+        ones_b,
+        ones_joined: ones_star,
+    } = counts;
+    let mf = m as f64;
+    let v_a0 = (m - ones_a) as f64 / mf;
+    let v_b0 = (m - ones_b) as f64 / mf;
+    let v_star1 = ones_star as f64 / mf;
     if v_a0 <= 0.0 {
         return Err(EstimateError::Saturated { which: "E_a" });
     }
@@ -180,14 +181,13 @@ pub fn estimate_from_halves_with_error(
     if arg <= 0.0 {
         return Err(EstimateError::Degenerate);
     }
-    let ln_q = (1.0 - 1.0 / m as f64).ln();
+    let ln_q = (1.0 - 1.0 / mf).ln();
     let value = (v_a0.ln() + v_b0.ln() - arg.ln()) / ln_q;
 
     // Partial derivatives of g w.r.t. (V_a0, V_b0, V_*1).
     let d_va = (1.0 / v_a0 - 1.0 / arg) / ln_q;
     let d_vb = (1.0 / v_b0 - 1.0 / arg) / ln_q;
     let d_v1 = (-1.0 / arg) / ln_q;
-    let mf = m as f64;
     let var = d_va * d_va * v_a0 * (1.0 - v_a0) / mf
         + d_vb * d_vb * v_b0 * (1.0 - v_b0) / mf
         + d_v1 * d_v1 * v_star1 * (1.0 - v_star1) / mf;
@@ -195,34 +195,6 @@ pub fn estimate_from_halves_with_error(
         value,
         std_error: var.max(0.0).sqrt(),
     })
-}
-
-impl PointEstimator {
-    /// [`PointEstimator::estimate`] with a propagated standard error.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`PointEstimator::estimate`].
-    pub fn estimate_with_error(
-        &self,
-        records: &[TrafficRecord],
-    ) -> Result<EstimateWithError, EstimateError> {
-        if records.len() < 2 {
-            return Err(EstimateError::TooFewRecords {
-                required: 2,
-                actual: records.len(),
-            });
-        }
-        let location = records[0].location();
-        if records.iter().any(|r| r.location() != location) {
-            return Err(EstimateError::LocationMismatch);
-        }
-        let bitmaps: Vec<&Bitmap> = records.iter().map(TrafficRecord::bitmap).collect();
-        let (idx_a, idx_b) = self.split.split(bitmaps.len());
-        let e_a = and_join(idx_a.iter().map(|&i| bitmaps[i]))?;
-        let e_b = and_join(idx_b.iter().map(|&i| bitmaps[i]))?;
-        estimate_from_halves_with_error(&e_a, &e_b)
-    }
 }
 
 /// The benchmark estimator from the evaluation (Sec. VI-B): apply plain
@@ -251,16 +223,7 @@ impl NaiveAndEstimator {
         if records.is_empty() {
             return Err(EstimateError::NoRecords);
         }
-        let location = records[0].location();
-        if records.iter().any(|r| r.location() != location) {
-            return Err(EstimateError::LocationMismatch);
-        }
-        self.estimate_bitmaps(
-            &records
-                .iter()
-                .map(TrafficRecord::bitmap)
-                .collect::<Vec<_>>(),
-        )
+        self.estimate_bitmaps(&join::single_location_bitmaps(records)?)
     }
 
     /// Bitmap-level variant of [`NaiveAndEstimator::estimate`].
@@ -270,8 +233,9 @@ impl NaiveAndEstimator {
     /// Same as [`NaiveAndEstimator::estimate`] minus metadata checks.
     pub fn estimate_bitmaps(&self, bitmaps: &[&Bitmap]) -> Result<f64, EstimateError> {
         ptm_obs::counter!("core.point.naive.ops").inc();
-        let e_star = and_join(bitmaps.iter().copied())?;
-        crate::lpc::from_zero_fraction(e_star.fraction_zeros(), e_star.len(), "E_*")
+        join::record_join(JoinOp::And, bitmaps)?;
+        let (m, ones_star) = join::fused_counts(&[bitmaps], JoinOp::And, &mut [0]);
+        crate::lpc::from_zero_fraction((m - ones_star) as f64 / m as f64, m, "E_*")
     }
 }
 

@@ -34,6 +34,7 @@
 //! `rpc.shard.lock_wait.read` / `rpc.shard.lock_wait.write` (histograms,
 //! ns spent waiting to acquire a shard lock).
 
+use ptm_core::bitmap::Bitmap;
 use ptm_core::encoding::LocationId;
 use ptm_core::error::EstimateError;
 use ptm_core::p2p::PointToPointEstimator;
@@ -104,9 +105,12 @@ impl From<EstimateError> for ServerError {
 /// One location's records plus its upload epoch, guarded together so a
 /// reader always sees an epoch consistent with (or older than) the records
 /// it reads.
+///
+/// Records are held by [`Arc`]: the store that loaded a record, the shard
+/// and every query reading it share one copy.
 #[derive(Debug, Default)]
 struct ShardInner {
-    records: HashMap<PeriodId, TrafficRecord>,
+    records: HashMap<PeriodId, Arc<TrafficRecord>>,
     /// Bumped once per accepted record. Idempotent re-uploads and rejected
     /// conflicts do not move it: the stored records did not change, so any
     /// cached answer derived from them is still exact.
@@ -210,11 +214,16 @@ impl CentralServer {
     /// Only an accepted record bumps the location's epoch (see
     /// [`CentralServer::epoch`]).
     ///
+    /// Takes a record or an [`Arc`] of one; an `Arc` is stored as is, so a
+    /// caller that already shares the record (the daemon's segment store)
+    /// hands it over without a copy.
+    ///
     /// # Errors
     ///
     /// [`ServerError::DuplicateRecord`] when the `(location, period)` slot
     /// already holds a record with different contents.
-    pub fn submit(&self, record: TrafficRecord) -> Result<(), ServerError> {
+    pub fn submit(&self, record: impl Into<Arc<TrafficRecord>>) -> Result<(), ServerError> {
+        let record = record.into();
         let location = record.location();
         let period = record.period();
         let shard = self.shard_or_create(location);
@@ -312,20 +321,21 @@ impl CentralServer {
         }
     }
 
-    /// Fetches one record (cloned out of its shard).
-    pub fn record(&self, location: LocationId, period: PeriodId) -> Option<TrafficRecord> {
+    /// Fetches one record (shared with its shard, not copied).
+    pub fn record(&self, location: LocationId, period: PeriodId) -> Option<Arc<TrafficRecord>> {
         let shard = self.shard(location)?;
         let inner = shard_read(&shard.inner);
         inner.records.get(&period).cloned()
     }
 
-    /// Clones this location's records for `periods` under one read lock,
-    /// so the set is a consistent snapshot of the location.
+    /// Takes this location's records for `periods` under one read lock, so
+    /// the set is a consistent snapshot of the location. Only the `Arc`s
+    /// are cloned; the estimate runs on them after the lock is released.
     fn gather(
         &self,
         location: LocationId,
         periods: &[PeriodId],
-    ) -> Result<Vec<TrafficRecord>, ServerError> {
+    ) -> Result<Vec<Arc<TrafficRecord>>, ServerError> {
         if periods.is_empty() {
             return Ok(Vec::new());
         }
@@ -375,7 +385,7 @@ impl CentralServer {
         let _t = ptm_obs::span!("net.server.estimate.point");
         ptm_obs::counter!("net.server.query.point").inc();
         let records = self.gather(location, periods)?;
-        Ok(PointEstimator::new().estimate(&records)?)
+        Ok(PointEstimator::new().estimate_bitmaps(&bitmaps(&records))?)
     }
 
     /// The naive AND benchmark for point persistent traffic.
@@ -391,7 +401,7 @@ impl CentralServer {
         let _t = ptm_obs::span!("net.server.estimate.naive");
         ptm_obs::counter!("net.server.query.naive").inc();
         let records = self.gather(location, periods)?;
-        Ok(NaiveAndEstimator::new().estimate(&records)?)
+        Ok(NaiveAndEstimator::new().estimate_bitmaps(&bitmaps(&records))?)
     }
 
     /// Point-to-point persistent traffic between two locations (Eq. 21).
@@ -413,8 +423,15 @@ impl CentralServer {
         ptm_obs::counter!("net.server.query.p2p").inc();
         let records_a = self.gather(location_a, periods)?;
         let records_b = self.gather(location_b, periods)?;
-        Ok(PointToPointEstimator::new(self.s).estimate(&records_a, &records_b)?)
+        Ok(PointToPointEstimator::new(self.s)
+            .estimate_bitmaps(&bitmaps(&records_a), &bitmaps(&records_b))?)
     }
+}
+
+/// The bitmaps of gathered records. A shard holds one location's records,
+/// so the estimators' location check has nothing to find here.
+fn bitmaps(records: &[Arc<TrafficRecord>]) -> Vec<&Bitmap> {
+    records.iter().map(|record| record.bitmap()).collect()
 }
 
 #[cfg(test)]
@@ -438,6 +455,44 @@ mod tests {
             r.encode(scheme, v);
         }
         r
+    }
+
+    #[test]
+    fn submitted_arcs_are_shared_never_copied() {
+        let server = CentralServer::new(3);
+        let scheme = EncodingScheme::new(11, 3);
+        let mut rng = ChaCha8Rng::seed_from_u64(6);
+        let fleet: Vec<VehicleSecrets> = (0..300)
+            .map(|_| VehicleSecrets::generate(&mut rng, 3))
+            .collect();
+        let loc = LocationId::new(9);
+        let periods: Vec<PeriodId> = (0..3).map(PeriodId::new).collect();
+        let records: Vec<Arc<TrafficRecord>> = periods
+            .iter()
+            .map(|&p| Arc::new(record_with(loc, p, 2048, &fleet, &scheme)))
+            .collect();
+        for record in &records {
+            server.submit(Arc::clone(record)).expect("accepted");
+        }
+        for (record, &period) in records.iter().zip(&periods) {
+            let stored = server.record(loc, period).expect("stored");
+            assert!(
+                Arc::ptr_eq(&stored, record),
+                "record() hands out the submitted Arc"
+            );
+        }
+        let gathered = server.gather(loc, &periods).expect("every period stored");
+        for (got, record) in gathered.iter().zip(&records) {
+            assert!(
+                Arc::ptr_eq(got, record),
+                "gather clones the Arc, not the record"
+            );
+        }
+        let owned: Vec<TrafficRecord> = records.iter().map(|r| TrafficRecord::clone(r)).collect();
+        assert_eq!(
+            server.estimate_point_persistent(loc, &periods),
+            Ok(PointEstimator::new().estimate(&owned).expect("estimate"))
+        );
     }
 
     #[test]
@@ -493,7 +548,7 @@ mod tests {
         // and the store is unchanged.
         server.submit(rec.clone()).expect("identical resend");
         assert_eq!(server.record_count(), 1);
-        assert_eq!(server.record(loc, PeriodId::new(0)), Some(rec));
+        assert_eq!(server.record(loc, PeriodId::new(0)).as_deref(), Some(&rec));
     }
 
     #[test]
@@ -512,7 +567,7 @@ mod tests {
             })
         );
         // The original record survives the rejected conflict untouched.
-        assert_eq!(server.record(loc, PeriodId::new(0)), Some(rec));
+        assert_eq!(server.record(loc, PeriodId::new(0)).as_deref(), Some(&rec));
     }
 
     #[test]
@@ -632,7 +687,7 @@ mod tests {
 
         // Every path still works: the store recovers the guard instead of
         // cascading the panic into every later request.
-        assert_eq!(server.record(loc, PeriodId::new(0)), Some(rec));
+        assert_eq!(server.record(loc, PeriodId::new(0)).as_deref(), Some(&rec));
         let mut next =
             TrafficRecord::new(loc, PeriodId::new(1), BitmapSize::new(64).expect("pow2"));
         next.set_reported_index(4);

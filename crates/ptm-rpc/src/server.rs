@@ -1856,7 +1856,7 @@ fn ensure_hydrated_locked(
         let count = records.len();
         for record in records {
             match shared.central.record(record.location(), record.period()) {
-                Some(existing) if existing == *record => {}
+                Some(existing) if existing == record => {}
                 Some(_) => {
                     return Err(format!(
                         "store contradicts query engine at location {} period {}",
@@ -1865,9 +1865,10 @@ fn ensure_hydrated_locked(
                     ));
                 }
                 None => {
+                    // The engine shares the store's copy of the record.
                     shared
                         .central
-                        .submit((*record).clone())
+                        .submit(record)
                         .map_err(|err| format!("hydration publish failed: {err}"))?;
                 }
             }
@@ -2036,7 +2037,7 @@ fn ingest_frames(shared: &Shared, frames: Vec<DecodedFrame>) -> Vec<Reply> {
         for record in records {
             let key = (record.location(), record.period());
             match shared.central.record(key.0, key.1) {
-                Some(existing) if existing == record => {
+                Some(existing) if *existing == record => {
                     duplicates += 1;
                     continue;
                 }
@@ -2142,7 +2143,10 @@ fn ingest_frames(shared: &Shared, frames: Vec<DecodedFrame>) -> Vec<Reply> {
     // lock make publish conflicts impossible; answer that frame
     // defensively rather than panic if the invariant is ever broken (its
     // records are already durable, so the remaining frames still
-    // publish).
+    // publish). The staged records are moved into the engine, not copied:
+    // the staged frames' ranges are consecutive, so consuming `staged` in
+    // order hands each frame exactly its own records.
+    let mut staged = staged.into_iter();
     let mut accepted_total = 0u64;
     let mut duplicates_total = 0u64;
     let replies: Vec<Reply> = verdicts
@@ -2154,15 +2158,18 @@ fn ingest_frames(shared: &Shared, frames: Vec<DecodedFrame>) -> Vec<Reply> {
                 FrameVerdict::Staged { range, duplicates } => {
                     let accepted = range.len() as u32;
                     let mut failed = None;
-                    for record in &staged[range] {
-                        if let Err(err) = shared.central.submit(record.clone()) {
+                    for record in staged.by_ref().take(range.len()) {
+                        if failed.is_some() {
+                            // Skip the rest of a frame whose publish failed.
+                            continue;
+                        }
+                        if let Err(err) = shared.central.submit(record) {
                             ptm_obs::error!("rpc.server", "publish after archive failed";
                                 error = err.to_string());
                             failed = Some(Response::Error {
                                 code: ErrorCode::Internal,
                                 message: err.to_string(),
                             });
-                            break;
                         }
                     }
                     match failed {
@@ -2307,14 +2314,14 @@ fn try_recover(shared: &Shared, store: &mut MutexGuard<'_, SegmentStore>) -> boo
         };
         for record in records {
             match shared.central.record(record.location(), record.period()) {
-                Some(existing) if existing == *record => {}
+                Some(existing) if existing == record => {}
                 Some(_) => {
                     ptm_obs::error!("rpc.server", "reopened store contradicts the query engine";
                         location = record.location().get(), period = record.period().get());
                     return false;
                 }
                 None => {
-                    if let Err(err) = shared.central.submit((*record).clone()) {
+                    if let Err(err) = shared.central.submit(record) {
                         ptm_obs::error!("rpc.server", "republish during recovery failed";
                             error = err.to_string());
                         return false;
@@ -3029,6 +3036,89 @@ mod tests {
             );
             std::thread::sleep(Duration::from_millis(5));
         }
+        server.shutdown().expect("shutdown");
+        cleanup_archive(&path);
+    }
+
+    #[test]
+    fn hydration_publishes_the_store_records_without_copying() {
+        let path = temp_archive("hydrate-share");
+        let server = RpcServer::start("127.0.0.1:0", &path, test_config()).expect("start");
+        let mut stream = connect(server.local_addr());
+        for period in 0..3 {
+            let response = exchange(&mut stream, &Request::Upload(sample_record(8, period)));
+            assert!(matches!(response, Response::UploadOk { accepted: 1, .. }));
+        }
+        drop(stream);
+        server.shutdown().expect("shutdown");
+
+        // A restart hydrates lazily: the first query of location 8 loads
+        // its three records (a few hundred bytes, well inside the store's
+        // page cache) into the engine.
+        let server = RpcServer::start("127.0.0.1:0", &path, test_config()).expect("restart");
+        let location = LocationId::new(8);
+        let periods: Vec<PeriodId> = (0..3).map(PeriodId::new).collect();
+        let mut stream = connect(server.local_addr());
+        let query = Request::QueryPoint {
+            location,
+            periods: periods.clone(),
+        };
+        assert!(matches!(
+            exchange(&mut stream, &query),
+            Response::Estimate(_)
+        ));
+        let shared = &server.shared;
+        let stored = lock_writer(&shared.writer)
+            .records_for_location(location)
+            .expect("read store");
+        assert_eq!(stored.len(), 3);
+        for record in &stored {
+            let engine = shared
+                .central
+                .record(location, record.period())
+                .expect("hydrated");
+            assert!(
+                Arc::ptr_eq(&engine, record),
+                "the engine holds the store's Arc, not a copy"
+            );
+        }
+        drop(stream);
+        server.shutdown().expect("shutdown");
+        cleanup_archive(&path);
+    }
+
+    #[test]
+    fn idempotent_resend_moves_no_epoch() {
+        let path = temp_archive("resend-epoch");
+        let server = RpcServer::start("127.0.0.1:0", &path, test_config()).expect("start");
+        let mut stream = connect(server.local_addr());
+        let location = LocationId::new(12);
+        let record = sample_record(12, 0);
+        let first = exchange(&mut stream, &Request::Upload(record.clone()));
+        assert_eq!(
+            first,
+            Response::UploadOk {
+                accepted: 1,
+                duplicates: 0
+            }
+        );
+        let epoch = server.shared.central.epoch(location);
+        let again = exchange(&mut stream, &Request::UploadBatch(vec![record.clone()]));
+        assert_eq!(
+            again,
+            Response::UploadOk {
+                accepted: 0,
+                duplicates: 1
+            }
+        );
+        assert_eq!(server.shared.central.epoch(location), epoch);
+        let stored = server
+            .shared
+            .central
+            .record(location, PeriodId::new(0))
+            .expect("published");
+        assert_eq!(*stored, record);
+        drop(stream);
         server.shutdown().expect("shutdown");
         cleanup_archive(&path);
     }

@@ -8,7 +8,9 @@
 #
 # Tracked medians (ns per iteration), first file:
 #   encoding/encode_10k_vehicles     vehicle encoding, 10k per iteration
-#   bitmap/and_join_10_mixed_sizes   expand + AND join across 10 bitmaps
+#   bitmap/and_join_10_mixed_sizes   fused replicate-AND join across 10 bitmaps
+#   bitmap/point_counts_10_mixed_sizes  the point query's fused count kernel
+#                                     (two half joins + their AND) on the same maps
 #   rpc/frame_roundtrip_4k_record    frame write + CRC-checked read back
 #   trace/ingest_untraced            loopback upload, tracing disabled
 #   trace/ingest_traced              loopback upload, full span tree on
@@ -63,6 +65,7 @@ trap 'rm -f "$raw" "$store_raw" "$reactor_raw" "$analyze_raw"' EXIT
 echo "==> cargo bench -p ptm-bench (tracked subset)"
 cargo bench -p ptm-bench --bench micro -- encoding/encode_10k_vehicles | tee -a "$raw"
 cargo bench -p ptm-bench --bench micro -- bitmap/and_join_10_mixed_sizes | tee -a "$raw"
+cargo bench -p ptm-bench --bench micro -- bitmap/point_counts_10_mixed_sizes | tee -a "$raw"
 cargo bench -p ptm-bench --bench micro -- rpc/frame_roundtrip_4k_record | tee -a "$raw"
 cargo bench -p ptm-bench --bench obs_overhead -- trace/ingest | tee -a "$raw"
 
@@ -70,6 +73,7 @@ awk -v out="$out" '
 /^bench: / { median[$2] = $4 }
 END {
     n = split("encoding/encode_10k_vehicles bitmap/and_join_10_mixed_sizes " \
+              "bitmap/point_counts_10_mixed_sizes " \
               "rpc/frame_roundtrip_4k_record trace/ingest_untraced " \
               "trace/ingest_traced", keys, " ")
     printf "{\n  \"units\": \"median_ns_per_iter\"" > out

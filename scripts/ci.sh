@@ -68,6 +68,13 @@ timeout 300 cargo test --quiet -p ptm-integration-tests --test reactor_storm
 echo "==> overload storms (bounded, fixed seeds)"
 timeout 300 cargo test --quiet -p ptm-integration-tests --test overload_storm
 
+# The query path's fused join kernels against the materialised path they
+# replaced (expand every map, AND/OR the copies, read the fractions): every
+# estimator, on random lengths 2^0..2^16, fan-in 1..10 and densities up to
+# saturation, must agree bit for bit, errors included.
+echo "==> estimator equivalence (bit-exact)"
+timeout 300 cargo test --release --quiet -p ptm-core --test estimator_equivalence
+
 # The loopback-daemon benchmark's own tests: its correctness-gate unit test
 # and a 2 s smoke of every workload, each checking every answer bit-exactly
 # and every record acked against a real daemon, so the upload, hydration and
